@@ -371,8 +371,9 @@ def evaluate_policy_cost(case: GridCase, paths, policy, c_delta: float,
                          tol: float = 1e-8, workers: int = 1) -> EvalStats:
     """Roll the policy out on every path and price the implementation.
 
-    Solver failures are logged and the path skipped; the failure count is
-    part of the returned stats.
+    ``rollout_seconds`` times the policy; ``solve_seconds`` times building
+    the second-stage LP plus solving it.  Solver failures are logged and
+    the path skipped; the failure count is part of the returned stats.
     """
     paths = list(paths)
 
@@ -380,8 +381,8 @@ def evaluate_policy_cost(case: GridCase, paths, policy, c_delta: float,
         t0 = time.perf_counter()
         targets = policy.rollout(path)
         roll = time.perf_counter() - t0
-        prob = build_second_stage(case, path, targets, c_delta, loss_cuts)
         t0 = time.perf_counter()
+        prob = build_second_stage(case, path, targets, c_delta, loss_cuts)
         res = ipm.solve(prob.lp, tol=tol)
         solve_t = time.perf_counter() - t0
         if not res.optimal:

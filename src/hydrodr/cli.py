@@ -2,7 +2,7 @@
 
 Every command is deterministic under a fixed ``--seed``: CSV outputs are
 byte-identical across reruns, while wall-clock figures live only in the
-JSON reports and the text table.  ``TSGDR_LOG`` sets the log level.
+JSON reports and the text table.  ``HYDRODR_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def cmd_train(args) -> int:
         c_delta = config.c_delta if config.c_delta is not None else default_deviation_penalty(case)
         test = _test_paths(sset, args.test, args.seed)
         stats = evaluate_policy_cost(case, test, Policy(params), c_delta,
-                                     loss_cuts=config.loss_cuts, workers=args.workers)
+                                     loss_cuts=config.loss_cuts, tol=config.solver_tol,
+                                     workers=args.workers)
         timing = {
             "train_minutes": report.wall_clock / 60.0,
             "exec_seconds_per_decision": stats.rollout_seconds_per_decision,
@@ -137,8 +138,13 @@ def cmd_eval(args) -> int:
     model = extra.get("model", params.spec.kind)
     c_delta = args.c_delta if args.c_delta is not None else default_deviation_penalty(case)
     test = _test_paths(sset, args.test, args.seed)
+    # price on the LP the policy was trained on; checkpoints without a
+    # saved config get the training defaults
+    trained = extra.get("config", {})
     t0 = time.perf_counter()
     stats = evaluate_policy_cost(case, test, Policy(params), c_delta,
+                                 loss_cuts=trained.get("loss_cuts", TrainConfig.loss_cuts),
+                                 tol=trained.get("solver_tol", TrainConfig.solver_tol),
                                  workers=args.workers)
     timing = {
         "eval_seconds": time.perf_counter() - t0,
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TSGDR_LOG", "WARNING").upper()
+    level = os.environ.get("HYDRODR_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)

@@ -12,6 +12,16 @@ a quasi-definite matrix factorized with SuperLU; iterative refinement
 against the unregularized operator keeps equality duals accurate at the
 requested tolerance.  Dual sign convention: d(objective)/d(b_eq) = y_eq.
 
+Built once per solve, on the arrays of the CSR constraint matrix: the
+standard form, a row id per nonzero and a stable CSR-to-CSC permutation,
+the Ruiz factors, the scaled matrix and its transpose, the transpose of
+the unscaled matrix for the residual check, the right-hand-side and cost
+norms, the index sets of finite bounds, and the augmented matrix's
+pattern with the positions of its diagonal.  Rewritten per iteration:
+only that diagonal, in the augmented matrix's own ``data``, before the
+same matrix goes to SuperLU.  The bound slacks and their duals live in
+"bound space", one entry per finite bound (lower bounds, then upper).
+
 Infeasible and unbounded instances are classified (not raised) by a
 deterministic two-phase diagnosis that runs only when the main iteration
 fails to converge.
@@ -48,23 +58,44 @@ class _Std:
     n_orig: int
     m_eq: int
     m_in: int
+    a_full: sp.csr_matrix       # standard form before presolve
     fixed_cols: np.ndarray      # bool over standard-form columns
     fixed_vals: np.ndarray
     kept_rows: np.ndarray       # bool over standard-form rows
 
 
+def _pointers(counts: np.ndarray) -> np.ndarray:
+    """Compressed-storage pointers for segments of the given lengths."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _with_surplus(a_eq: sp.csr_matrix, a_in: sp.csr_matrix) -> sp.csr_matrix:
+    """CSR of [[A_eq, 0], [A_in, -I]]: each inequality row ends with its
+    surplus column."""
+    (m_eq, n), m_in = a_eq.shape, a_in.shape[0]
+    ptr = _pointers(np.concatenate([np.diff(a_eq.indptr), np.diff(a_in.indptr) + 1]))
+    surplus = ptr[m_eq + 1:] - 1
+    rest = np.ones(ptr[-1], dtype=bool)
+    rest[surplus] = False
+    indices = np.empty(ptr[-1], dtype=np.int64)
+    indices[rest] = np.concatenate([a_eq.indices, a_in.indices])
+    indices[surplus] = np.arange(n, n + m_in)
+    data = np.empty(ptr[-1])
+    data[rest] = np.concatenate([a_eq.data, a_in.data])
+    data[surplus] = -1.0
+    return sp.csr_matrix((data, indices, ptr), shape=(m_eq + m_in, n + m_in))
+
+
 def _standardize(lp: LinearProgram) -> _Std:
     n, m_eq, m_in = lp.n_vars, lp.n_eq, lp.n_in
-    if m_in:
-        a = sp.bmat([[lp.a_eq, None],
-                     [lp.a_in, -sp.identity(m_in, format="csr")]], format="csr")
-    else:
-        a = lp.a_eq.tocsr(copy=True)
+    a = _with_surplus(lp.a_eq, lp.a_in) if m_in else lp.a_eq
     c = np.concatenate([lp.c, np.zeros(m_in)])
     b = np.concatenate([lp.b_eq, lp.b_in])
     lb = np.concatenate([lp.lb, np.zeros(m_in)])
     ub = np.concatenate([lp.ub, np.full(m_in, np.inf)])
-    return _Std(c, a, b, lb, ub, n, m_eq, m_in,
+    return _Std(c, a, b, lb, ub, n, m_eq, m_in, a_full=a,
                 fixed_cols=np.zeros(c.size, dtype=bool),
                 fixed_vals=np.zeros(c.size),
                 kept_rows=np.ones(b.size, dtype=bool))
@@ -110,21 +141,51 @@ def _seg_max(data: np.ndarray, indptr: np.ndarray, count: int) -> np.ndarray:
     return np.where(out > 0.0, out, 1.0)
 
 
-def _ruiz_scale(a: sp.csr_matrix, passes: int = 4):
-    """Symmetric max-norm equilibration; returns (row_scale, col_scale)."""
+def _csc_order(col: np.ndarray, n: int):
+    """Stable permutation from CSR storage order to CSC order (rows stay
+    ascending within a column) and the CSC column pointers."""
+    return np.argsort(col, kind="stable"), _pointers(np.bincount(col, minlength=n))
+
+
+def _ruiz_scale(a: sp.csr_matrix, row: np.ndarray, perm: np.ndarray,
+                col_ptr: np.ndarray, passes: int = 4):
+    """Symmetric max-norm equilibration of ``a``; returns (row_scale, col_scale).
+
+    ``row`` holds the row of every stored entry and ``perm``/``col_ptr``
+    its CSC order (see ``_csc_order``).  Each pass rescales the entries
+    rows first, then columns, as ``diags(rs) @ A`` then ``A @ diags(cs)``
+    would.
+    """
     m, n = a.shape
     dr = np.ones(m)
     dc = np.ones(n)
-    work = a.copy()
+    work = a.data
     for _ in range(passes):
-        rs = 1.0 / np.sqrt(_seg_max(work.data, work.indptr, m))
-        work = sp.diags(rs) @ work
+        rs = 1.0 / np.sqrt(_seg_max(work, a.indptr, m))
+        work = rs[row] * work
         dr *= rs
-        csc = work.tocsc()
-        cs = 1.0 / np.sqrt(_seg_max(csc.data, csc.indptr, n))
-        work = (csc @ sp.diags(cs)).tocsr()
+        cs = 1.0 / np.sqrt(_seg_max(work[perm], col_ptr, n))
+        work = work * cs[a.indices]
         dc *= cs
     return dr, dc
+
+
+def _augmented(a: sp.csr_matrix, at: sp.csr_matrix):
+    """Pattern of [[D, A^T], [A, R]] in CSC, rows ascending in every column
+    and the diagonal zero; returns (matrix, positions of the diagonal)."""
+    m, n = a.shape
+    # column j < n: diagonal, then n + the rows of A's column j;
+    # column n + i: the columns of A's row i, then the diagonal
+    ptr = _pointers(np.concatenate([np.diff(at.indptr), np.diff(a.indptr)]) + 1)
+    diag_pos = np.concatenate([ptr[:n], ptr[n + 1:] - 1])
+    off = np.ones(ptr[-1], dtype=bool)
+    off[diag_pos] = False
+    indices = np.empty(ptr[-1], dtype=np.int64)
+    indices[diag_pos] = np.arange(n + m)
+    indices[off] = np.concatenate([at.indices + n, a.indices])
+    data = np.zeros(ptr[-1])
+    data[off] = np.concatenate([at.data, a.data])
+    return sp.csc_matrix((data, indices, ptr), shape=(n + m, n + m)), diag_pos
 
 
 def _bounds_only_solve(c, lb, ub):
@@ -143,92 +204,134 @@ class _Core:
     def __init__(self, c, a, b, lb, ub, tol, max_iter):
         self.tol = tol
         self.max_iter = max_iter
-        self.c0, self.a0, self.b0 = c, a.tocsr(), b
-        self.lb0, self.ub0 = lb, ub
-        self.dr, self.dc = _ruiz_scale(self.a0)
-        self.a = (sp.diags(self.dr) @ self.a0 @ sp.diags(self.dc)).tocsr()
-        self.at = self.a.T.tocsr()
+        a0 = a.tocsr()
+        if not a0.has_canonical_format:     # _augmented needs sorted rows
+            a0 = a0.copy()
+            a0.sum_duplicates()
+        m, n = a0.shape
+        self.m, self.n = m, n
+        row = np.repeat(np.arange(m), np.diff(a0.indptr))
+        perm, col_ptr = _csc_order(a0.indices, n)
+        self.c0, self.a0, self.b0 = c, a0, b
+        self.a0t = sp.csr_matrix((a0.data[perm], row[perm], col_ptr), shape=(n, m))
+        self.dr, self.dc = _ruiz_scale(a0, row, perm, col_ptr)
+        # (dr_i * a_ij) * dc_j is the operation order of diags(dr) @ A @
+        # diags(dc); like that product, drop the entries that come out zero
+        data = (self.dr[row] * a0.data) * self.dc[a0.indices]
+        col, row_ptr = a0.indices, a0.indptr
+        nonzero = data != 0.0
+        if not nonzero.all():
+            data, row, col = data[nonzero], row[nonzero], col[nonzero]
+            row_ptr = _pointers(np.bincount(row, minlength=m))
+            perm, col_ptr = _csc_order(col, n)
+        self.a = sp.csr_matrix((data, col, row_ptr), shape=(m, n))
+        self.at = sp.csr_matrix((data[perm], row[perm], col_ptr), shape=(n, m))
         self.b = self.dr * b
         self.c = self.dc * c
         with np.errstate(invalid="ignore"):
             self.lb = lb / self.dc
             self.ub = ub / self.dc
-        self.m, self.n = self.a.shape
         self.jl = np.isfinite(self.lb)
         self.ju = np.isfinite(self.ub)
-        self.nb = int(self.jl.sum() + self.ju.sum())
+        self.il = np.flatnonzero(self.jl)
+        self.iu = np.flatnonzero(self.ju)
+        self.nl = self.il.size
+        self.nb = self.nl + self.iu.size
+        # bound space: column of each finite bound and the sign that turns
+        # dx into the change of that bound's slack
+        self.ib = np.concatenate([self.il, self.iu])
+        self.sb = np.concatenate([np.ones(self.nl), -np.ones(self.iu.size)])
+        self.lb0_l = lb[self.il]
+        self.ub0_u = ub[self.iu]
+        self.b_norm = 1.0 + float(np.max(np.abs(b), initial=0.0))
+        self.c_norm = 1.0 + float(np.max(np.abs(c), initial=0.0))
+        self.reg = 1e-10 * max(1.0, float(np.max(np.abs(data), initial=1.0)))
         self.mu_trace: list[float] = []
-        # Augmented-system pattern is fixed; per-iteration factorizations
-        # only rewrite the diagonal, so build it once and cache positions.
-        nm = self.n + self.m
-        self.kkt = sp.bmat([[sp.diags(np.ones(self.n)), self.a.T],
-                            [self.a, sp.diags(np.ones(self.m))]],
-                           format="csc")
-        self.kkt.sort_indices()
-        diag_pos = np.empty(nm, dtype=np.int64)
-        for j in range(nm):
-            lo, hi = self.kkt.indptr[j], self.kkt.indptr[j + 1]
-            k = np.searchsorted(self.kkt.indices[lo:hi], j)
-            diag_pos[j] = lo + k
-        self.diag_pos = diag_pos
-        self.base_data = self.kkt.data.copy()
-        self.base_data[diag_pos] = 0.0
+        self.kkt, self.diag_pos = _augmented(self.a, self.at)
+
+    def _unstack(self, vb):
+        """Bound-space vector -> (lower-bound part, upper-bound part) over
+        the columns, zero off each bound set."""
+        lo = np.zeros(self.n)
+        lo[self.il] = vb[:self.nl]
+        hi = np.zeros(self.n)
+        hi[self.iu] = vb[self.nl:]
+        return lo, hi
+
+    def _mu(self, gb, zb):
+        nl = self.nl
+        return (float(gb[:nl] @ zb[:nl]) + float(gb[nl:] @ zb[nl:])) / self.nb
+
+    def _max_step(self, vb, dvb):
+        """Largest step in (0, 1] keeping vb + step * dvb >= 0.  The two
+        bound blocks are reduced apart, so that a NaN ratio in one block
+        does not hide the other block's limit."""
+        ratio = np.full(vb.size, np.inf)
+        np.divide(-vb, dvb, out=ratio, where=dvb < 0)
+        nl = self.nl
+        return min(1.0, float(ratio[:nl].min(initial=np.inf)),
+                   float(ratio[nl:].min(initial=np.inf)))
 
     # -- residuals in the original (unscaled) data ------------------------
     def _true_residuals(self, x, y, zl, zu):
         xo = self.dc * x
         yo = self.dr * y
-        zlo = np.where(self.jl, zl / self.dc, 0.0)
-        zuo = np.where(self.ju, zu / self.dc, 0.0)
+        zlo = zl / self.dc      # zl, zu are zero off their bound sets
+        zuo = zu / self.dc
         rp = self.b0 - self.a0 @ xo
-        rd = self.c0 - self.a0.T @ yo - zlo + zuo
-        rp_rel = float(np.max(np.abs(rp), initial=0.0)) / \
-            (1.0 + float(np.max(np.abs(self.b0), initial=0.0)))
-        rd_rel = float(np.max(np.abs(rd), initial=0.0)) / \
-            (1.0 + float(np.max(np.abs(self.c0), initial=0.0)))
+        rd = self.c0 - self.a0t @ yo - zlo + zuo
+        rp_rel = float(np.abs(rp).max(initial=0.0)) / self.b_norm
+        rd_rel = float(np.abs(rd).max(initial=0.0)) / self.c_norm
         pobj = float(self.c0 @ xo)
         dobj = float(self.b0 @ yo)
-        dobj += float(np.sum(self.lb0[self.jl] * zlo[self.jl]))
-        dobj -= float(np.sum(self.ub0[self.ju] * zuo[self.ju]))
+        dobj += float(np.sum(self.lb0_l * zlo[self.il]))
+        dobj -= float(np.sum(self.ub0_u * zuo[self.iu]))
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj))
         return rp_rel, rd_rel, gap_rel
 
     def _factor(self, d_diag):
-        reg = 1e-10 * max(1.0, float(np.max(np.abs(self.a.data), initial=1.0)))
+        """LU of the augmented matrix with diagonal -(d_diag + reg), reg;
+        the regularization grows 100x per failed attempt."""
+        data = self.kkt.data
+        reg = self.reg
         for _ in range(4):
-            data = self.base_data.copy()
             data[self.diag_pos[:self.n]] = -(d_diag + reg)
             data[self.diag_pos[self.n:]] = reg
-            k = sp.csc_matrix((data, self.kkt.indices, self.kkt.indptr),
-                              shape=self.kkt.shape)
             try:
-                return splu(k), reg
+                return splu(self.kkt)
             except RuntimeError:
                 reg *= 100.0
         raise RuntimeError("augmented KKT matrix could not be factorized")
 
     def _solve_kkt(self, lu, d_diag, r1, r2):
+        n = self.n
         rhs = np.concatenate([r1, r2])
         sol = lu.solve(rhs)
-        dx, dy = sol[:self.n], sol[self.n:]
+        dx, dy = sol[:n], sol[n:]
         # refinement vs the unregularized operator
+        tol = 1e-12 * (1.0 + np.abs(rhs).max())
+        res = np.empty_like(rhs)
         for _ in range(2):
-            res1 = r1 - (-(d_diag * dx) + self.at @ dy)
-            res2 = r2 - self.a @ dx
-            err = max(np.max(np.abs(res1), initial=0.0),
-                      np.max(np.abs(res2), initial=0.0))
-            if err <= 1e-12 * (1.0 + np.max(np.abs(rhs))):
+            res[:n] = r1 - (self.at @ dy - d_diag * dx)
+            res[n:] = r2 - self.a @ dx
+            if np.abs(res).max() <= tol:
                 break
-            corr = lu.solve(np.concatenate([res1, res2]))
-            dx = dx + corr[:self.n]
-            dy = dy + corr[self.n:]
+            corr = lu.solve(res)
+            dx = dx + corr[:n]
+            dy = dy + corr[n:]
         return dx, dy
+
+    def _r1(self, rd, tb):
+        """Reduced dual right-hand side rd - tl + tu, where tl and tu are
+        the lower and upper parts of the bound-space vector tb."""
+        tl, tu = self._unstack(tb)
+        return rd - tl + tu
 
     def _start(self):
         n, m = self.n, self.m
         if m:
             ones = np.ones(n)
-            lu, _ = self._factor(ones)
+            lu = self._factor(ones)
             sol = self._solve_kkt(lu, ones, np.zeros(n), self.b)
             x = sol[0]
             sol2 = self._solve_kkt(lu, ones, self.c, np.zeros(m))
@@ -243,37 +346,28 @@ class _Core:
         lo = np.where(self.jl, self.lb + pad, -np.inf)
         hi = np.where(self.ju, self.ub - pad, np.inf)
         x = np.clip(x, lo, hi)
-        gl = np.where(self.jl, x - self.lb, 1.0)
-        gu = np.where(self.ju, self.ub - x, 1.0)
-        zl = np.where(self.jl, np.maximum(z, 0.0) + 1.0, 0.0)
-        zu = np.where(self.ju, np.maximum(-z, 0.0) + 1.0, 0.0)
-        return x, y, zl, zu, gl, gu
-
-    @staticmethod
-    def _max_step(v, dv):
-        neg = dv < 0
-        if not np.any(neg):
-            return 1.0
-        return min(1.0, float(np.min(-v[neg] / dv[neg])))
+        il, iu = self.il, self.iu
+        gb = np.concatenate([x[il] - self.lb[il], self.ub[iu] - x[iu]])
+        zb = np.concatenate([np.maximum(z[il], 0.0), np.maximum(-z[iu], 0.0)]) + 1.0
+        return x, y, gb, zb
 
     def run(self):
-        x, y, zl, zu, gl, gu = self._start()
+        x, y, gb, zb = self._start()
+        ib, sb = self.ib, self.sb
         status = "iteration_limit"
         it = 0
         stall = 0
         best_err = np.inf
         for it in range(1, self.max_iter + 1):
+            zl, zu = self._unstack(zb)
             rp_rel, rd_rel, gap_rel = self._true_residuals(x, y, zl, zu)
-            mu = 0.0
-            if self.nb:
-                mu = (float(gl[self.jl] @ zl[self.jl]) +
-                      float(gu[self.ju] @ zu[self.ju])) / self.nb
+            mu = self._mu(gb, zb) if self.nb else 0.0
             self.mu_trace.append(mu)
             err = max(rp_rel, rd_rel, gap_rel)
             if err <= self.tol:
                 status = "optimal"
                 break
-            if not np.isfinite(err) or np.max(np.abs(x)) > _DIVERGE or mu > _DIVERGE:
+            if not np.isfinite(err) or np.abs(x).max() > _DIVERGE or mu > _DIVERGE:
                 status = "diverged"
                 break
             if err < best_err * 0.999:
@@ -288,57 +382,48 @@ class _Core:
             rp = self.b - self.a @ x
             rd = self.c - self.at @ y - zl + zu
             d_diag = np.zeros(self.n)
-            d_diag[self.jl] += zl[self.jl] / gl[self.jl]
-            d_diag[self.ju] += zu[self.ju] / gu[self.ju]
+            qb = zb / gb
+            d_diag[self.il] = qb[:self.nl]
+            d_diag[self.iu] += qb[self.nl:]
             try:
-                lu, _ = self._factor(d_diag)
+                lu = self._factor(d_diag)
             except RuntimeError:
                 status = "diverged"
                 break
 
             # predictor (affine scaling)
-            rcl = np.where(self.jl, -gl * zl, 0.0)
-            rcu = np.where(self.ju, -gu * zu, 0.0)
-            r1 = rd - np.where(self.jl, rcl / gl, 0.0) + np.where(self.ju, rcu / gu, 0.0)
-            dx_a, dy_a = self._solve_kkt(lu, d_diag, r1, rp)
-            dzl_a = np.where(self.jl, (rcl - zl * dx_a) / gl, 0.0)
-            dzu_a = np.where(self.ju, (rcu + zu * dx_a) / gu, 0.0)
-            ap = min(self._max_step(gl[self.jl], dx_a[self.jl]),
-                     self._max_step(gu[self.ju], -dx_a[self.ju]))
-            ad = min(self._max_step(zl[self.jl], dzl_a[self.jl]),
-                     self._max_step(zu[self.ju], dzu_a[self.ju]))
+            rc = -gb * zb
+            dx_a, dy_a = self._solve_kkt(lu, d_diag, self._r1(rd, rc / gb), rp)
+            dg_a = dx_a[ib] * sb
+            dz_a = (rc - zb * dg_a) / gb
+            ap = self._max_step(gb, dg_a)
+            ad = self._max_step(zb, dz_a)
             if self.nb:
-                mu_aff = (float((gl + ap * dx_a)[self.jl] @ (zl + ad * dzl_a)[self.jl]) +
-                          float((gu - ap * dx_a)[self.ju] @ (zu + ad * dzu_a)[self.ju])) / self.nb
-                sigma = float(np.clip((max(mu_aff, 0.0) / max(mu, 1e-300)) ** 3, 1e-8, 1.0 - 1e-8))
+                mu_aff = self._mu(gb + ap * dg_a, zb + ad * dz_a)
+                sigma = min(max((max(mu_aff, 0.0) / max(mu, 1e-300)) ** 3, 1e-8), 1.0 - 1e-8)
             else:
                 sigma = 0.0
 
             # corrector + centering
-            rcl = np.where(self.jl, sigma * mu - gl * zl - dx_a * dzl_a, 0.0)
-            rcu = np.where(self.ju, sigma * mu - gu * zu + dx_a * dzu_a, 0.0)
-            r1 = rd - np.where(self.jl, rcl / gl, 0.0) + np.where(self.ju, rcu / gu, 0.0)
-            dx, dy = self._solve_kkt(lu, d_diag, r1, rp)
-            dzl = np.where(self.jl, (rcl - zl * dx) / gl, 0.0)
-            dzu = np.where(self.ju, (rcu + zu * dx) / gu, 0.0)
+            rc = sigma * mu - gb * zb - dg_a * dz_a
+            dx, dy = self._solve_kkt(lu, d_diag, self._r1(rd, rc / gb), rp)
+            # SuperLU's factors keep its whole work space; drop them so the
+            # next factorization does not run with two sets alive
+            lu = None
+            dg = dx[ib] * sb
+            dz = (rc - zb * dg) / gb
 
-            ap = _STEP_SCALE * min(self._max_step(gl[self.jl], dx[self.jl]),
-                                   self._max_step(gu[self.ju], -dx[self.ju]))
-            ad = _STEP_SCALE * min(self._max_step(zl[self.jl], dzl[self.jl]),
-                                   self._max_step(zu[self.ju], dzu[self.ju]))
-            ap, ad = min(ap, 1.0), min(ad, 1.0)
+            ap = min(_STEP_SCALE * self._max_step(gb, dg), 1.0)
+            ad = min(_STEP_SCALE * self._max_step(zb, dz), 1.0)
             x = x + ap * dx
-            gl = np.where(self.jl, gl + ap * dx, 1.0)
-            gu = np.where(self.ju, gu - ap * dx, 1.0)
+            gb = gb + ap * dg
             y = y + ad * dy
-            zl = np.where(self.jl, zl + ad * dzl, 0.0)
-            zu = np.where(self.ju, zu + ad * dzu, 0.0)
+            zb = zb + ad * dz
 
+        zl, zu = self._unstack(zb)
         xo = self.dc * x
         yo = self.dr * y if self.m else np.zeros(0)
-        zlo = np.where(self.jl, zl / self.dc, 0.0)
-        zuo = np.where(self.ju, zu / self.dc, 0.0)
-        return status, xo, yo, zlo, zuo, it, self.mu_trace
+        return status, xo, yo, zl / self.dc, zu / self.dc, it, self.mu_trace
 
 
 def _run_core(c, a, b, lb, ub, tol, max_iter):
@@ -419,14 +504,8 @@ def solve(lp: LinearProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveRes
     z_std[~std.fixed_cols] = zl_red - zu_red
     if np.any(std.fixed_cols):
         c_full = np.concatenate([lp.c, np.zeros(std.m_in)])
-        if std.m_in:
-            a_full = sp.bmat([[lp.a_eq, None],
-                              [lp.a_in, -sp.identity(std.m_in, format="csr")]],
-                             format="csc")
-        else:
-            a_full = lp.a_eq.tocsc()
         fixed_idx = np.flatnonzero(std.fixed_cols)
-        z_std[fixed_idx] = c_full[fixed_idx] - a_full[:, fixed_idx].T @ y_std
+        z_std[fixed_idx] = c_full[fixed_idx] - (std.a_full.T @ y_std)[fixed_idx]
 
     n = std.n_orig
     x = x_std[:n]

@@ -133,7 +133,11 @@ def _batch_pass(case, policy, batch, c_delta, loss_cuts, tol, workers=1):
         if not res.optimal:
             log.warning("training solve failed (%s) on path %s", res.status, path.source_id)
             return None, None
-        lam = extract_duals(prob, res).lam
+        try:
+            lam = extract_duals(prob, res).lam
+        except ValueError as exc:     # a non-finite dual or one over the penalty
+            log.warning("training duals rejected (%s) on path %s", exc, path.source_id)
+            return None, None
         return policy.gradient(path, tape, lam), res.objective
 
     outcomes = map_ordered(one, batch, workers)

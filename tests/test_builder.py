@@ -373,3 +373,23 @@ def test_evaluate_policy_cost_report_shape(tiny_case):
     assert np.isfinite(stats.std_cost)
     assert stats.decisions == 5 * case.horizon
     assert stats.rollout_seconds_per_decision >= 0.0
+
+
+def test_evaluate_policy_cost_times_lp_assembly_as_solve(tiny_case, monkeypatch):
+    import time
+    from hydrodr import builder
+    delay = 0.05
+    real_build = builder.build_second_stage
+
+    def slow_build(*args, **kwargs):
+        time.sleep(delay)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "build_second_stage", slow_build)
+    rng = np.random.default_rng(1)
+    paths = [random_path(tiny_case, rng) for _ in range(3)]
+    stats = evaluate_policy_cost(tiny_case, paths, _HoldPolicy(tiny_case),
+                                 default_deviation_penalty(tiny_case))
+    assert stats.n_failed == 0
+    assert stats.solve_seconds >= 3 * delay
+    assert stats.rollout_seconds < delay

@@ -168,6 +168,23 @@ def test_eval_command_and_hash_guard(workdir, tmp_path):
     assert rc == 2
 
 
+def test_eval_prices_with_the_checkpoints_lp_settings(workdir, tmp_path):
+    # a policy trained on a 5-cut loss model is evaluated on that model
+    args = ["--test", "4", "--seed", "1", "--lattice-points", "2"]
+    train_out = tmp_path / "cuts5"
+    rc = run(["train", "--case", workdir / "case.json", "--model", "ts-ddr",
+              "--epochs", "1", "--batch", "2", "--val", "0", "--latent", "4",
+              "--loss-cuts", "5", "--out", train_out] + args)
+    assert rc == 0
+    eval_out = tmp_path / "cuts5_eval"
+    rc = run(["eval", "--checkpoint", train_out / "checkpoint.json",
+              "--case", workdir / "case.json", "--out", eval_out] + args)
+    assert rc == 0
+    trained = json.loads((train_out / "eval_report.json").read_text())
+    evaluated = json.loads((eval_out / "eval_report.json").read_text())
+    assert evaluated["mean_cost"] == trained["mean_cost"]
+
+
 def test_eval_extended_horizon(workdir, tmp_path):
     out = tmp_path / "eval24"
     rc = run(["eval", "--checkpoint", workdir / "ddr" / "checkpoint.json",

@@ -251,3 +251,105 @@ def test_write_lp_roundtrips_structure(tmp_path):
     text = out.read_text()
     assert "Minimize" in text and "Subject To" in text and "Bounds" in text
     assert "eq0" in text and "in0" in text and "free" in text
+
+
+# -- the array-level set-up against the sparse-product construction ----------
+
+def _oracle_seg_max(data, indptr, count):
+    if data.size == 0:
+        return np.ones(count)
+    starts = np.minimum(indptr[:-1], data.size - 1)
+    out = np.maximum.reduceat(np.abs(data), starts)
+    out = np.where(np.diff(indptr) > 0, out, 1.0)
+    return np.where(out > 0.0, out, 1.0)
+
+
+def _oracle_setup(a):
+    """Ruiz factors by sparse products, the scaled matrix as
+    diags(dr) @ A @ diags(dc), and the augmented matrix's diagonal found by
+    a per-column search."""
+    m, n = a.shape
+    dr, dc = np.ones(m), np.ones(n)
+    work = a.copy()
+    for _ in range(4):
+        rs = 1.0 / np.sqrt(_oracle_seg_max(work.data, work.indptr, m))
+        work = sp.diags(rs) @ work
+        dr *= rs
+        csc = work.tocsc()
+        cs = 1.0 / np.sqrt(_oracle_seg_max(csc.data, csc.indptr, n))
+        work = (csc @ sp.diags(cs)).tocsr()
+        dc *= cs
+    scaled = (sp.diags(dr) @ a @ sp.diags(dc)).tocsr()
+    kkt = sp.bmat([[sp.diags(np.ones(n)), scaled.T],
+                   [scaled, sp.diags(np.ones(m))]], format="csc")
+    kkt.sort_indices()
+    diag_pos = np.array([kkt.indptr[j] + np.searchsorted(
+        kkt.indices[kkt.indptr[j]:kkt.indptr[j + 1]], j) for j in range(n + m)])
+    return dr, dc, scaled, kkt, diag_pos
+
+
+def _same_bits(u, v):
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _setup_instances():
+    from hydrodr.builder import build_extensive, build_second_stage
+    from hydrodr.sddp import Cut, _stage_lp
+    from hydrodr.scenarios import make_lattice
+    from conftest import build_cascade_case
+    from oracles import random_lthd, random_path
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        case = random_lthd(rng)
+        path = random_path(case, rng)
+        vmax = np.array([h.vmax for h in case.hydros])
+        targets = rng.uniform(0.0, 1.0, size=(case.horizon, case.n_hydros)) * vmax
+        yield build_second_stage(case, path, targets, 100.0).lp
+        yield build_extensive(case, path)[0]
+    case = build_cascade_case(horizon=4)
+    cuts = [Cut(stage=0, intercept=20.0 * k, slope=np.array([-2.0 * k, -1.0 - k]))
+            for k in range(1, 4)]
+    lp, _ = _stage_lp(case, 0, case.v0(), make_lattice(case, 2).stages[0].values[0],
+                      cuts, 11)
+    assert lp.n_in >= len(cuts)
+    yield lp
+    # a stored zero, which the scaled matrix drops
+    a = sp.csr_matrix((np.array([2.0, 0.0, 3.0, 1.0]), np.array([0, 1, 1, 2]),
+                       np.array([0, 2, 4])), shape=(2, 3))
+    yield LinearProgram(c=[1.0, 2.0, 0.5], a_eq=a, b_eq=[1.0, 2.0],
+                        a_in=[[1.0, 0.0, 4.0]], b_in=[0.1], lb=[0.0] * 3, ub=[5.0] * 3)
+
+
+def test_array_setup_matches_sparse_product_oracle():
+    from hydrodr import ipm
+    for lp in _setup_instances():
+        std = ipm._standardize(lp)
+        assert ipm._presolve(std) is None
+        core = ipm._Core(std.c, std.a, std.b, std.lb, std.ub, 1e-8, 200)
+        dr, dc, scaled, kkt, diag_pos = _oracle_setup(std.a.tocsr())
+        assert _same_bits(core.dr, dr) and _same_bits(core.dc, dc)
+        assert np.array_equal(core.a.indptr, scaled.indptr)
+        assert np.array_equal(core.a.indices, scaled.indices)
+        assert _same_bits(core.a.data, scaled.data)
+        assert np.array_equal(core.kkt.indptr, kkt.indptr)
+        assert np.array_equal(core.kkt.indices, kkt.indices)
+        assert np.array_equal(core.diag_pos, diag_pos)
+
+
+def test_refactorization_leaves_no_stale_diagonal():
+    from hydrodr import ipm
+    from scipy.sparse.linalg import splu
+    rng = np.random.default_rng(3)
+    std = ipm._standardize(random_feasible_lp(rng, 12, m_eq=4, m_in=3))
+    assert ipm._presolve(std) is None
+    core = ipm._Core(std.c, std.a, std.b, std.lb, std.ub, 1e-8, 200)
+    n, m = core.n, core.m
+    first = core._factor(rng.uniform(0.1, 10.0, size=n))
+    d_diag = rng.uniform(1e-3, 1e3, size=n)
+    lu = core._factor(d_diag)
+    fresh = sp.bmat([[sp.diags(-(d_diag + core.reg)), core.a.T],
+                     [core.a, sp.diags(np.full(m, core.reg))]], format="csc")
+    assert np.array_equal(core.kkt.toarray(), fresh.toarray())
+    rhs = rng.normal(size=n + m)
+    assert _same_bits(lu.solve(rhs), splu(fresh).solve(rhs))
+    assert not np.array_equal(first.solve(rhs), lu.solve(rhs))

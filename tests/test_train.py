@@ -203,6 +203,38 @@ def test_failed_solves_renormalize_batch(monkeypatch):
     assert np.isfinite(report.rows[-1].train_loss)
 
 
+def test_rejected_duals_count_as_failed_solve(monkeypatch):
+    from hydrodr import train as train_mod
+    from hydrodr.policy import Policy
+    case = build_tiny_case(horizon=3)
+    paths = sample_paths(make_lattice(case, 2), 4, seed=0)
+    policy = Policy(init_params(spec_for_case(case, "ts-ddr", latent_dim=6,
+                                              hidden_layers=1), seed=0))
+    c_delta = default_deviation_penalty(case)
+    grads = []
+    for path in paths:
+        targets, tape = policy.rollout_with_tape(path)
+        prob = build_second_stage(case, path, targets, c_delta)
+        res = ipm.solve(prob.lp)
+        grads.append(policy.gradient(path, tape, extract_duals(prob, res).lam))
+
+    calls = {"n": 0}
+
+    def reject_second(prob, res):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ValueError("non-finite dual in target rows")
+        return extract_duals(prob, res)
+
+    monkeypatch.setattr(train_mod, "extract_duals", reject_second)
+    grad, loss, n_failed = train_mod._batch_pass(case, policy, paths, c_delta,
+                                                 loss_cuts=11, tol=1e-8)
+    assert n_failed == 1
+    assert np.isfinite(loss)
+    np.testing.assert_allclose(grad, np.mean([grads[0], grads[2], grads[3]], axis=0),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_gradcheck_linear_rule_near_exact():
     case = build_cascade_case(horizon=4)
     lat = make_lattice(case, 3)
