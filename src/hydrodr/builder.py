@@ -8,6 +8,23 @@ an L1 deviation split (dev_pos/dev_neg) on each target row priced at the
 deviation penalty.  The equality dual of a target row is exactly the
 sensitivity of the optimal cost to that target, which is what the policy
 trainer consumes.
+
+One :class:`StageBlock` lays out the dispatch physics of a stage, and
+every LP here and in :mod:`hydrodr.sddp` is assembled from it:
+
+* columns: ``p`` (generators), ``x``, ``u``, ``s`` (volume, turbined and
+  spilled water per hydro), ``fr``, ``to`` (directed flows per branch),
+  ``th`` (bus angles), then ``dp``, ``dn`` (target deviations per hydro)
+  when the block carries targets;
+* equality rows: per hydro its water balance then its turbine link, the
+  power balance per bus, the angle row per branch, then the target row
+  per hydro when the block carries targets;
+* inequality rows: the loss cuts of each branch, branch after branch.
+
+The second-stage and extensive-form LPs place one block per stage on the
+diagonal and couple each water row to the previous stage's volumes; the
+SDDP stage LP puts volume-fixing rows and columns in front of one block
+and an epigraph column with its cut rows after it.
 """
 
 from __future__ import annotations
@@ -38,150 +55,142 @@ def default_deviation_penalty(case: GridCase) -> float:
     return 10.0 * case.max_water_value()
 
 
-def loss_cut_points(limit: float, n_cuts: int) -> np.ndarray:
-    """Flow values where the quadratic loss curve is linearized."""
+def loss_cut_points(limit, n_cuts: int) -> np.ndarray:
+    """Flow values where the quadratic loss curve is linearized, along the
+    last axis (one row per entry of an array of limits)."""
     if n_cuts < 1:
         raise ValueError("need at least one tangent cut")
+    limit = np.asarray(limit, dtype=float)
     if n_cuts == 1:
-        return np.array([0.0])
-    return np.linspace(-limit, limit, n_cuts)
+        return np.zeros(limit.shape + (1,))
+    return np.linspace(-limit, limit, n_cuts, axis=-1)
 
 
-def dcll_loss_cuts(branch, n_cuts: int) -> list[tuple[float, float, float]]:
-    """Tangent rows linearizing  fr + to >= alpha * fr^2  for one branch.
+def dcll_loss_cuts(branches, n_cuts: int) -> np.ndarray:
+    """Tangent rows linearizing  fr + to >= alpha * fr^2  for each branch.
 
-    Returns (coef_fr, coef_to, rhs) triples meaning
-    ``coef_fr * f_fr + coef_to * f_to >= rhs``.  With zero conductance all
-    cuts collapse to ``f_fr + f_to >= 0``.
+    Returns a (len(branches), n_cuts, 3) array of (coef_fr, coef_to, rhs)
+    rows meaning ``coef_fr * f_fr + coef_to * f_to >= rhs``.  With zero
+    conductance all cuts collapse to ``f_fr + f_to >= 0``.
     """
-    alpha = branch.loss_coef
-    rows = []
-    for fhat in loss_cut_points(branch.limit, n_cuts):
-        rows.append((1.0 - 2.0 * alpha * fhat, 1.0, -alpha * fhat * fhat))
-    return rows
+    alpha = np.array([br.loss_coef for br in branches])[:, None]
+    fhat = loss_cut_points([br.limit for br in branches], n_cuts)
+    return np.stack([1.0 - 2.0 * alpha * fhat, np.ones_like(fhat), -alpha * fhat * fhat], axis=-1)
 
 
-class _Assembler:
-    """COO accumulator for one LP (equality and >= inequality blocks)."""
+class StageBlock:
+    """One stage's columns and rows, laid out once for every LP built here
+    (order in the module docstring).
 
-    def __init__(self, n_vars: int):
-        self.n = n_vars
-        self.c = np.zeros(n_vars)
-        self.lb = np.full(n_vars, -np.inf)
-        self.ub = np.full(n_vars, np.inf)
-        self._eq = ([], [], [])      # rows, cols, vals
-        self._in = ([], [], [])
-        self.b_eq: list[float] = []
-        self.b_in: list[float] = []
-        self.row_tags: dict = {}
-
-    def add_eq(self, cols, vals, rhs, tag=None) -> int:
-        r = len(self.b_eq)
-        self._eq[0].extend([r] * len(cols))
-        self._eq[1].extend(cols)
-        self._eq[2].extend(vals)
-        self.b_eq.append(rhs)
-        if tag is not None:
-            self.row_tags[tag] = r
-        return r
-
-    def add_in(self, cols, vals, rhs) -> int:
-        r = len(self.b_in)
-        self._in[0].extend([r] * len(cols))
-        self._in[1].extend(cols)
-        self._in[2].extend(vals)
-        self.b_in.append(rhs)
-        return r
-
-    def build(self) -> LinearProgram:
-        m_eq, m_in = len(self.b_eq), len(self.b_in)
-        a_eq = sp.coo_matrix((self._eq[2], (self._eq[0], self._eq[1])),
-                             shape=(m_eq, self.n)).tocsr()
-        a_in = sp.coo_matrix((self._in[2], (self._in[0], self._in[1])),
-                             shape=(m_in, self.n)).tocsr()
-        return LinearProgram(c=self.c, a_eq=a_eq, b_eq=np.array(self.b_eq),
-                             a_in=a_in, b_in=np.array(self.b_in),
-                             lb=self.lb, ub=self.ub, row_tags=self.row_tags)
-
-
-def _emit_stage(asm: _Assembler, case: GridCase, stage: int, inflow_row,
-                cols: dict, x_prev_cols, v_prev_const, n_cuts: int) -> None:
-    """Constraint rows of one stage given its column indices.
-
-    ``x_prev_cols`` couples to the previous stage's volume columns; when
-    None, ``v_prev_const`` (the initial volumes) lands on the rhs instead.
+    ``a_eq`` and ``a_in`` are the block's (rows, cols, vals) COO arrays;
+    ``water_rows``, ``power_rows`` and ``target_rows`` locate the rows
+    whose right-hand side varies by stage or path.  The water rows leave
+    out the incoming volume: the caller adds a -1 entry on whichever
+    column carries it.
     """
-    h = case.stage_hours
-    gen_idx = case.gen_index()
-    bus_idx = case.bus_index()
-    hyd_idx = case.hydro_index()
-    demand = case.demand_matrix()
 
-    for j, hyd in enumerate(case.hydros):
-        c_cols = [cols["x"][j], cols["u"][j], cols["s"][j]]
-        c_vals = [1.0, 1.0, 1.0]
-        for up in hyd.upstream_turbine:
-            c_cols.append(cols["u"][hyd_idx[up]])
-            c_vals.append(-1.0)
-        for up in hyd.upstream_spill:
-            c_cols.append(cols["s"][hyd_idx[up]])
-            c_vals.append(-1.0)
-        rhs = float(inflow_row[j])
-        if x_prev_cols is None:
-            rhs += float(v_prev_const[j])
-        else:
-            c_cols.append(x_prev_cols[j])
-            c_vals.append(-1.0)
-        asm.add_eq(c_cols, c_vals, rhs, tag=("water", stage, j))
-        # turbined water is tied to electric output
-        asm.add_eq([cols["u"][j], cols["p"][gen_idx[hyd.generator]]],
-                   [1.0, -hyd.phi * h], 0.0)
+    def __init__(self, case: GridCase, loss_cuts: int = DEFAULT_LOSS_CUTS,
+                 with_dev: bool = False):
+        G, H, E, B = len(case.generators), case.n_hydros, len(case.branches), case.n_buses
+        sizes = [("p", G), ("x", H), ("u", H), ("s", H), ("fr", E), ("to", E), ("th", B)]
+        if with_dev:
+            sizes += [("dp", H), ("dn", H)]
+        ends = np.cumsum([size for _, size in sizes])
+        self.cols = {name: np.arange(end - size, end) for (name, size), end in zip(sizes, ends)}
+        self.n = int(ends[-1])
+        p, x, u, s, fr, to, th = (self.cols[k] for k in ("p", "x", "u", "s", "fr", "to", "th"))
 
-    gens_at_bus: dict[int, list[int]] = {}
-    for i, g in enumerate(case.generators):
-        gens_at_bus.setdefault(bus_idx[g.bus], []).append(i)
-    fr_at = {}
-    to_at = {}
-    for e, br in enumerate(case.branches):
-        fr_at.setdefault(bus_idx[br.from_bus], []).append(e)
-        to_at.setdefault(bus_idx[br.to_bus], []).append(e)
-    for b in range(case.n_buses):
-        c_cols = [cols["p"][i] for i in gens_at_bus.get(b, [])]
-        c_vals = [1.0] * len(c_cols)
-        for e in fr_at.get(b, []):
-            c_cols.append(cols["fr"][e])
-            c_vals.append(-1.0)
-        for e in to_at.get(b, []):
-            c_cols.append(cols["to"][e])
-            c_vals.append(-1.0)
-        asm.add_eq(c_cols, c_vals, float(demand[stage, b]), tag=("power", stage, b))
+        bus_idx, gen_idx, hyd_idx = case.bus_index(), case.gen_index(), case.hydro_index()
+        gen_bus = np.array([bus_idx[g.bus] for g in case.generators], dtype=int)
+        fr_bus = np.array([bus_idx[br.from_bus] for br in case.branches], dtype=int)
+        to_bus = np.array([bus_idx[br.to_bus] for br in case.branches], dtype=int)
+        susceptance = np.array([br.b for br in case.branches])
+        hyd_gen = [gen_idx[hyd.generator] for hyd in case.hydros]
+        phi = np.array([hyd.phi for hyd in case.hydros])
+        up_rows, up_cols = [], []
+        for j, hyd in enumerate(case.hydros):
+            ups = ([u[hyd_idx[g]] for g in hyd.upstream_turbine]
+                   + [s[hyd_idx[g]] for g in hyd.upstream_spill])
+            up_rows += [2 * j] * len(ups)
+            up_cols += ups
 
-    for e, br in enumerate(case.branches):
-        i, j = bus_idx[br.from_bus], bus_idx[br.to_bus]
-        asm.add_eq([cols["fr"][e], cols["th"][j], cols["th"][i]],
-                   [1.0, -br.b, br.b], 0.0)
-        for coef_fr, coef_to, rhs in dcll_loss_cuts(br, n_cuts):
-            asm.add_in([cols["fr"][e], cols["to"][e]], [coef_fr, coef_to], rhs)
+        self.water_rows = 2 * np.arange(H)       # each followed by its turbine link
+        self.power_rows = 2 * H + np.arange(B)
+        angle_rows = 2 * H + B + np.arange(E)
+        self.target_rows = 2 * H + B + E + np.arange(H if with_dev else 0)
+        self.m_eq = 2 * H + B + E + self.target_rows.size
+        w = self.water_rows
+        eq = [(w, x, 1.0), (w, u, 1.0), (w, s, 1.0), (up_rows, up_cols, -1.0),
+              (w + 1, u, 1.0), (w + 1, p[hyd_gen], -phi * case.stage_hours),
+              (self.power_rows[gen_bus], p, 1.0), (self.power_rows[fr_bus], fr, -1.0),
+              (self.power_rows[to_bus], to, -1.0),
+              (angle_rows, fr, 1.0), (angle_rows, th[to_bus], -susceptance),
+              (angle_rows, th[fr_bus], susceptance)]
+        if with_dev:
+            tr = self.target_rows
+            eq += [(tr, x, 1.0), (tr, self.cols["dp"], 1.0), (tr, self.cols["dn"], -1.0)]
+        self.a_eq = _coo(eq)
+
+        cuts = dcll_loss_cuts(case.branches, loss_cuts).reshape(E * loss_cuts, 3)
+        self.m_in = E * loss_cuts
+        self.a_in = _coo([(np.arange(self.m_in), np.repeat(fr, loss_cuts), cuts[:, 0]),
+                          (np.arange(self.m_in), np.repeat(to, loss_cuts), cuts[:, 1])])
+        self.b_in = cuts[:, 2].copy()
+
+        limit = np.array([br.limit for br in case.branches])
+        self.lb, self.ub = np.full(self.n, -np.inf), np.full(self.n, np.inf)
+        bounds = [(p, [g.pmin for g in case.generators], [g.pmax for g in case.generators]),
+                  (x, case.vmin(), case.vmax()), (u, 0.0, np.inf), (s, 0.0, np.inf),
+                  (fr, -limit, limit), (to, -limit, limit),
+                  (th[bus_idx[case.reference_bus]], 0.0, 0.0)]
+        if with_dev:
+            bounds += [(self.cols["dp"], 0.0, np.inf), (self.cols["dn"], 0.0, np.inf)]
+        for cols, lo, hi in bounds:
+            self.lb[cols], self.ub[cols] = lo, hi
+
+        self._demand = case.demand_matrix()
+        self._energy_cost = case.cost_matrix() * case.stage_hours
+
+    def rhs(self, stages, inflows) -> np.ndarray:
+        """Equality right-hand sides, one row per entry of ``stages`` (an
+        int or an index array): inflows on the water rows, demand on the
+        power rows, zero elsewhere."""
+        inflows = np.asarray(inflows, dtype=float)
+        shape = np.shape(stages) + (self.water_rows.size,)
+        if inflows.shape != shape:
+            raise ValueError(f"inflows must be {shape}, got {inflows.shape}")
+        b = np.zeros(shape[:-1] + (self.m_eq,))
+        b[..., self.water_rows] = inflows
+        b[..., self.power_rows] = self._demand[stages]
+        return b
+
+    def cost(self, stages) -> np.ndarray:
+        """Objective coefficients of the dispatch columns for ``stages``;
+        the deviation columns are left at zero."""
+        c = np.zeros(np.shape(stages) + (self.n,))
+        c[..., self.cols["p"]] = self._energy_cost[stages]
+        c[..., self.cols["s"]] = SPILL_PENALTY
+        return c
+
+    def row_tags(self, stage: int, offset: int) -> dict:
+        """Tags of the water, power and target rows of ``stage`` placed at
+        equality row ``offset``."""
+        return {(name, stage, k): offset + int(r)
+                for name, rows in (("water", self.water_rows), ("power", self.power_rows),
+                                   ("target", self.target_rows))
+                for k, r in enumerate(rows)}
 
 
-def _stage_bounds(asm: _Assembler, case: GridCase, cols: dict) -> None:
-    bus_idx = case.bus_index()
-    for i, g in enumerate(case.generators):
-        asm.lb[cols["p"][i]] = g.pmin
-        asm.ub[cols["p"][i]] = g.pmax
-    for j, hyd in enumerate(case.hydros):
-        asm.lb[cols["x"][j]] = hyd.vmin
-        asm.ub[cols["x"][j]] = hyd.vmax
-        asm.lb[cols["u"][j]] = 0.0
-        asm.lb[cols["s"][j]] = 0.0
-    for e, br in enumerate(case.branches):
-        asm.lb[cols["fr"][e]] = -br.limit
-        asm.ub[cols["fr"][e]] = br.limit
-        asm.lb[cols["to"][e]] = -br.limit
-        asm.ub[cols["to"][e]] = br.limit
-    ref = bus_idx[case.reference_bus]
-    asm.lb[cols["th"][ref]] = 0.0
-    asm.ub[cols["th"][ref]] = 0.0
+def _coo(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate (rows, cols, vals) groups; a scalar val fills its group."""
+    rows, cols, vals = zip(*entries)
+    return (np.concatenate(rows).astype(int), np.concatenate(cols).astype(int),
+            np.concatenate([np.full(len(r), v, dtype=float) for r, v in zip(rows, vals)]))
+
+
+_VAR_KEYS = (("generation", "p"), ("volume", "x"), ("turbine", "u"), ("spill", "s"),
+             ("flow_fr", "fr"), ("flow_to", "to"), ("angle", "th"),
+             ("dev_pos", "dp"), ("dev_neg", "dn"))
 
 
 @dataclass
@@ -190,8 +199,6 @@ class MultiPeriodProblem:
     lp: LinearProgram
     target_rows: np.ndarray          # (T, n_hydros) equality-row indices
     var_map: dict[str, np.ndarray]   # name -> (T, count) column indices
-    horizon: int
-    n_hydros: int
     c_delta: float
     targets: np.ndarray              # effective (possibly clipped) targets
 
@@ -203,23 +210,47 @@ class DualMap:
     lam: np.ndarray                  # (T, n_hydros)
 
 
-def _layout(case: GridCase, with_dev: bool):
-    G, H, E, B = len(case.generators), case.n_hydros, len(case.branches), case.n_buses
-    per_stage = G + 3 * H + 2 * E + B + (2 * H if with_dev else 0)
+def _horizon_lp(case: GridCase, path: ScenarioPath, loss_cuts: int,
+                targets=None, c_delta: float = 0.0):
+    """The T-stage LP: one stage block per stage on the diagonal, each
+    water row also taking -1 on the previous stage's volume (stage 0 has
+    the initial volumes on its rhs).  With ``targets`` the blocks carry the
+    deviation columns and target rows, priced at ``c_delta``.
+
+    Returns (lp, var_map, target_rows).
+    """
     T = case.horizon
-    names = {}
-    sizes = [("p", G), ("x", H), ("u", H), ("s", H), ("fr", E), ("to", E), ("th", B)]
-    if with_dev:
-        sizes += [("dp", H), ("dn", H)]
-    off = 0
-    for name, size in sizes:
-        names[name] = np.arange(size) + off
-        off += size
-    cols_by_stage = []
-    for t in range(T):
-        base = t * per_stage
-        cols_by_stage.append({k: v + base for k, v in names.items()})
-    return T * per_stage, cols_by_stage
+    blk = StageBlock(case, loss_cuts, with_dev=targets is not None)
+    stages = np.arange(T)
+    b_eq = blk.rhs(stages, path.inflows)
+    b_eq[0, blk.water_rows] += case.v0()
+    c = blk.cost(stages)
+    if targets is not None:
+        b_eq[:, blk.target_rows] = targets
+        c[:, blk.cols["dp"]] = c_delta
+        c[:, blk.cols["dn"]] = c_delta
+
+    m, n = blk.m_eq, blk.n
+    r, k, v = blk.a_eq
+    x = blk.cols["x"]
+    a_eq = sp.coo_matrix(
+        (np.concatenate([np.tile(v, T), np.full(x.size * (T - 1), -1.0)]),
+         (np.concatenate([(r + m * stages[:, None]).ravel(),
+                          (blk.water_rows + m * stages[1:, None]).ravel()]),
+          np.concatenate([(k + n * stages[:, None]).ravel(),
+                          (x + n * stages[:-1, None]).ravel()]))),
+        shape=(T * m, T * n))
+    r, k, v = blk.a_in
+    a_in = sp.coo_matrix((np.tile(v, T), ((r + blk.m_in * stages[:, None]).ravel(),
+                                          (k + n * stages[:, None]).ravel())),
+                         shape=(T * blk.m_in, T * n))
+    row_tags = {tag: row for t in range(T) for tag, row in blk.row_tags(t, t * m).items()}
+    lp = LinearProgram(c=c.ravel(), a_eq=a_eq, b_eq=b_eq.ravel(), a_in=a_in,
+                       b_in=np.tile(blk.b_in, T), lb=np.tile(blk.lb, T),
+                       ub=np.tile(blk.ub, T), row_tags=row_tags)
+    var_map = {key: blk.cols[name] + n * stages[:, None]
+               for key, name in _VAR_KEYS if name in blk.cols}
+    return lp, var_map, blk.target_rows + m * stages[:, None]
 
 
 def build_second_stage(case: GridCase, path: ScenarioPath, targets,
@@ -237,8 +268,6 @@ def build_second_stage(case: GridCase, path: ScenarioPath, targets,
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (T, H):
         raise ValueError(f"targets must be ({T}, {H}), got {targets.shape}")
-    if path.inflows.shape != (T, H):
-        raise ValueError(f"path inflows must be ({T}, {H}), got {path.inflows.shape}")
     if c_delta <= case.max_marginal_cost():
         log.warning("deviation penalty %.3g is below the maximum marginal cost; "
                     "targets may distort the dispatch", c_delta)
@@ -249,38 +278,9 @@ def build_second_stage(case: GridCase, path: ScenarioPath, targets,
     if n_clip:
         log.debug("clipped %d target entries into [0, %s]", n_clip, hi)
 
-    n_vars, cols_by_stage = _layout(case, with_dev=True)
-    asm = _Assembler(n_vars)
-    cost = case.cost_matrix()
-    h = case.stage_hours
-    v0 = case.v0()
-    target_rows = np.zeros((T, H), dtype=int)
-    for t in range(T):
-        cols = cols_by_stage[t]
-        x_prev = cols_by_stage[t - 1]["x"] if t > 0 else None
-        _emit_stage(asm, case, t, path.inflows[t], cols, x_prev, v0, loss_cuts)
-        for j in range(H):
-            target_rows[t, j] = asm.add_eq(
-                [cols["x"][j], cols["dp"][j], cols["dn"][j]], [1.0, 1.0, -1.0],
-                float(clipped[t, j]), tag=("target", t, j))
-        _stage_bounds(asm, case, cols)
-        asm.lb[cols["dp"]] = 0.0
-        asm.lb[cols["dn"]] = 0.0
-        asm.c[cols["p"]] = cost[t] * h
-        asm.c[cols["s"]] = SPILL_PENALTY
-        asm.c[cols["dp"]] = c_delta
-        asm.c[cols["dn"]] = c_delta
-
-    var_map = {key: np.stack([cols_by_stage[t][name] for t in range(T)])
-               for key, name in (("generation", "p"), ("volume", "x"),
-                                 ("turbine", "u"), ("spill", "s"),
-                                 ("flow_fr", "fr"), ("flow_to", "to"),
-                                 ("angle", "th"), ("dev_pos", "dp"),
-                                 ("dev_neg", "dn"))}
-    lp = asm.build()
+    lp, var_map, target_rows = _horizon_lp(case, path, loss_cuts, clipped, c_delta)
     lpdump.maybe_dump(lp, "second_stage")
-    return MultiPeriodProblem(lp=lp, target_rows=target_rows,
-                              var_map=var_map, horizon=T, n_hydros=H,
+    return MultiPeriodProblem(lp=lp, target_rows=target_rows, var_map=var_map,
                               c_delta=c_delta, targets=clipped)
 
 
@@ -288,25 +288,7 @@ def build_extensive(case: GridCase, path: ScenarioPath,
                     loss_cuts: int = DEFAULT_LOSS_CUTS):
     """Pure dispatch LP for one path, no targets: the extensive-form
     optimum of the deterministic problem.  Returns (lp, var_map)."""
-    T = case.horizon
-    n_vars, cols_by_stage = _layout(case, with_dev=False)
-    asm = _Assembler(n_vars)
-    cost = case.cost_matrix()
-    h = case.stage_hours
-    v0 = case.v0()
-    for t in range(T):
-        cols = cols_by_stage[t]
-        x_prev = cols_by_stage[t - 1]["x"] if t > 0 else None
-        _emit_stage(asm, case, t, path.inflows[t], cols, x_prev, v0, loss_cuts)
-        _stage_bounds(asm, case, cols)
-        asm.c[cols["p"]] = cost[t] * h
-        asm.c[cols["s"]] = SPILL_PENALTY
-    var_map = {key: np.stack([cols_by_stage[t][name] for t in range(T)])
-               for key, name in (("generation", "p"), ("volume", "x"),
-                                 ("turbine", "u"), ("spill", "s"),
-                                 ("flow_fr", "fr"), ("flow_to", "to"),
-                                 ("angle", "th"))}
-    lp = asm.build()
+    lp, var_map, _ = _horizon_lp(case, path, loss_cuts)
     lpdump.maybe_dump(lp, "extensive")
     return lp, var_map
 

@@ -136,11 +136,13 @@ def cmd_eval(args) -> int:
         case = extend_case(case, args.horizon)
     sset, shash = _resolve_scenarios(args, case)
     model = extra.get("model", params.spec.kind)
-    c_delta = args.c_delta if args.c_delta is not None else default_deviation_penalty(case)
     test = _test_paths(sset, args.test, args.seed)
-    # price on the LP the policy was trained on; checkpoints without a
-    # saved config get the training defaults
+    # price on the LP the policy was trained on unless --c-delta overrides
+    # it; checkpoints without a saved config get the training defaults
     trained = extra.get("config", {})
+    c_delta = args.c_delta if args.c_delta is not None else trained.get("c_delta")
+    if c_delta is None:
+        c_delta = default_deviation_penalty(case)
     t0 = time.perf_counter()
     stats = evaluate_policy_cost(case, test, Policy(params), c_delta,
                                  loss_cuts=trained.get("loss_cuts", TrainConfig.loss_cuts),

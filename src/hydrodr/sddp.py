@@ -18,9 +18,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import ipm, lpdump
-from .builder import SPILL_PENALTY, _Assembler, _emit_stage, _stage_bounds, DEFAULT_LOSS_CUTS
+from .builder import DEFAULT_LOSS_CUTS, StageBlock
+from .lp import LinearProgram
 from .model import GridCase
 from .scenarios import ScenarioSet, sample_paths
 
@@ -82,31 +84,36 @@ def _check_lattice(case: GridCase, lattice: ScenarioSet) -> None:
 
 def _stage_lp(case: GridCase, t: int, x_in, inflow_row, cuts: list[Cut],
               loss_cuts: int):
-    """One-stage dispatch LP with incoming volumes entering through tagged
-    fixing rows (their duals are the value-function slopes) and an epigraph
-    variable over the cut pool."""
-    G, H, E, B = len(case.generators), case.n_hydros, len(case.branches), case.n_buses
-    sizes = [("vin", H), ("p", G), ("x", H), ("u", H), ("s", H),
-             ("fr", E), ("to", E), ("th", B), ("phi", 1)]
-    cols = {}
-    off = 0
-    for name, size in sizes:
-        cols[name] = np.arange(size) + off
-        off += size
-    asm = _Assembler(off)
-    for j in range(H):
-        asm.add_eq([cols["vin"][j]], [1.0], float(x_in[j]), tag=("vin", j))
-    _emit_stage(asm, case, t, inflow_row, cols, x_prev_cols=cols["vin"],
-                v_prev_const=None, n_cuts=loss_cuts)
-    for cut in cuts:
-        asm.add_in([cols["phi"][0], *cols["x"].tolist()],
-                   [1.0, *(-cut.slope).tolist()], cut.intercept)
-    _stage_bounds(asm, case, cols)
-    asm.lb[cols["phi"][0]] = 0.0
-    asm.c[cols["p"]] = case.cost_matrix()[t] * case.stage_hours
-    asm.c[cols["s"]] = SPILL_PENALTY
-    asm.c[cols["phi"][0]] = 1.0
-    lp = asm.build()
+    """One-stage dispatch LP: the stage block behind one fixing row and
+    column per incoming volume (the rows' duals are the value-function
+    slopes), then an epigraph column ``phi`` over the cut pool, whose rows
+    follow the loss cuts."""
+    H = case.n_hydros
+    blk = StageBlock(case, loss_cuts)
+    vin = np.arange(H)
+    n = H + blk.n + 1
+    cols = {"vin": vin, **{k: v + H for k, v in blk.cols.items()}, "phi": np.array([n - 1])}
+    r, k, v = blk.a_eq
+    a_eq = sp.coo_matrix((np.concatenate([np.ones(H), v, np.full(H, -1.0)]),
+                          (np.concatenate([vin, r + H, blk.water_rows + H]),
+                           np.concatenate([vin, k + H, vin]))),
+                         shape=(H + blk.m_eq, n)).tocsr()
+    # cut k: phi - slope . x >= intercept
+    K = len(cuts)
+    slopes = np.array([cut.slope for cut in cuts], dtype=float).reshape(K, H)
+    r, k, v = blk.a_in
+    a_in = sp.coo_matrix(
+        (np.concatenate([v, np.hstack([np.ones((K, 1)), -slopes]).ravel()]),
+         (np.concatenate([r, np.repeat(blk.m_in + np.arange(K), H + 1)]),
+          np.concatenate([k + H, np.tile(np.concatenate([cols["phi"], cols["x"]]), K)]))),
+        shape=(blk.m_in + K, n)).tocsr()
+    row_tags = {("vin", j): j for j in range(H)} | blk.row_tags(t, H)
+    lp = LinearProgram(
+        c=np.concatenate([np.zeros(H), blk.cost(t), [1.0]]), a_eq=a_eq,
+        b_eq=np.concatenate([np.asarray(x_in, dtype=float), blk.rhs(t, inflow_row)]),
+        a_in=a_in, b_in=np.concatenate([blk.b_in, [cut.intercept for cut in cuts]]),
+        lb=np.concatenate([np.full(H, -np.inf), blk.lb, [0.0]]),
+        ub=np.concatenate([np.full(H, np.inf), blk.ub, [np.inf]]), row_tags=row_tags)
     lpdump.maybe_dump(lp, f"sddp_stage{t}")
     return lp, cols
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from hydrodr import ipm
-from hydrodr.builder import (build_extensive, build_second_stage, dcll_loss_cuts,
-                             default_deviation_penalty, deviation_l1,
+from hydrodr.builder import (DEFAULT_LOSS_CUTS, build_extensive, build_second_stage,
+                             dcll_loss_cuts, default_deviation_penalty, deviation_l1,
                              evaluate_policy_cost, extract_duals, loss_cut_points)
 from hydrodr.model import Branch, Bus, Generator, GridCase, HydroUnit, load_case, bundled_case_path
 from hydrodr.scenarios import ScenarioPath
+from hydrodr.sddp import _stage_lp
 
 from conftest import build_tiny_case, build_cascade_case
 from oracles import random_lthd, random_path
@@ -79,7 +80,7 @@ def test_fixed_point_of_unconstrained_volumes(tiny_case):
 
 def test_loss_cuts_lossless_branch():
     br = Branch(0, 1, b=-30.0, g=0.0, limit=10.0)
-    for coef_fr, coef_to, rhs in dcll_loss_cuts(br, 7):
+    for coef_fr, coef_to, rhs in dcll_loss_cuts([br], 7)[0]:
         assert coef_fr == 1.0 and coef_to == 1.0 and rhs == 0.0
     assert np.array_equal(loss_cut_points(10.0, 1), [0.0])
     pts = loss_cut_points(10.0, 5)
@@ -150,7 +151,7 @@ def test_flow_at_limit_hits_endpoint_cut():
     to = res.x[vm["flow_to"]][0, 0]
     assert fr == pytest.approx(120.0, abs=1e-4)
     alpha = case.branches[0].loss_coef
-    cuts = dcll_loss_cuts(case.branches[0], 9)
+    cuts = dcll_loss_cuts(case.branches[:1], 9)[0]
     slacks = [coef_fr * fr + coef_to * to - rhs for coef_fr, coef_to, rhs in cuts]
     # tightest cut is the tangent anchored at +limit (the last cut point)
     assert np.argmin(slacks) == len(cuts) - 1
@@ -328,6 +329,49 @@ def test_penalty_must_be_positive(tiny_case):
         build_second_stage(tiny_case, path, np.zeros((4, 1)), 0.0)
     with pytest.raises(ValueError):
         build_second_stage(tiny_case, path, np.zeros((3, 1)), 10.0)
+
+
+def test_builders_reject_wrong_shaped_inflows():
+    case = build_cascade_case(horizon=4)
+    targets = np.tile(case.v0(), (4, 1))
+    for shape in ((6, 3), (4, 3), (6, 2)):
+        path = ScenarioPath(inflows=np.ones(shape), source_id=("bad",))
+        with pytest.raises(ValueError, match="inflows"):
+            build_extensive(case, path)
+        with pytest.raises(ValueError, match="inflows"):
+            build_second_stage(case, path, targets, 100.0)
+
+
+def test_extensive_stage_block_matches_sddp_stage_lp():
+    """The extensive form's stage-t diagonal block is the SDDP stage LP
+    between its incoming-volume columns and its epigraph column; the only
+    entries of stage t's rows outside that block are the -1 couplings of
+    each water row to the previous stage's volume."""
+    case = build_cascade_case(horizon=6)
+    T, H = case.horizon, case.n_hydros
+    t = T // 2
+    path = random_path(case, np.random.default_rng(3))
+    ext, vm = build_extensive(case, path)
+    stage, cols = _stage_lp(case, t, case.v0(), path.inflows[t], [], DEFAULT_LOSS_CUTS)
+    n, m, mi = ext.n_vars // T, ext.n_eq // T, ext.n_in // T
+    assert cols["vin"].tolist() == list(range(H))
+    assert cols["phi"].tolist() == [H + n]
+    blk_cols = slice(t * n, (t + 1) * n)
+    eq_rows, in_rows = slice(t * m, (t + 1) * m), slice(t * mi, (t + 1) * mi)
+    a_eq, a_in = ext.a_eq.toarray(), ext.a_in.toarray()
+    np.testing.assert_array_equal(a_eq[eq_rows, blk_cols], stage.a_eq.toarray()[H:, H:H + n])
+    np.testing.assert_array_equal(a_in[in_rows, blk_cols], stage.a_in.toarray()[:, H:H + n])
+    np.testing.assert_array_equal(ext.b_eq[eq_rows], stage.b_eq[H:])
+    np.testing.assert_array_equal(ext.b_in[in_rows], stage.b_in)
+    for name in ("lb", "ub", "c"):
+        np.testing.assert_array_equal(getattr(ext, name)[blk_cols], getattr(stage, name)[H:H + n])
+
+    off_block = a_eq[eq_rows].copy()
+    off_block[:, blk_cols] = 0.0
+    expected = np.zeros_like(off_block)
+    for j in range(H):
+        expected[ext.row_tags[("water", t, j)] - t * m, vm["volume"][t - 1, j]] = -1.0
+    np.testing.assert_array_equal(off_block, expected)
 
 
 class _HoldPolicy:

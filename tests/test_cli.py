@@ -185,6 +185,27 @@ def test_eval_prices_with_the_checkpoints_lp_settings(workdir, tmp_path):
     assert evaluated["mean_cost"] == trained["mean_cost"]
 
 
+def test_eval_prices_with_the_checkpoints_deviation_penalty(workdir, tmp_path):
+    # a policy trained with --c-delta is priced at that penalty, not at
+    # the case default, unless eval passes its own --c-delta
+    args = ["--test", "4", "--seed", "1", "--lattice-points", "2"]
+    train_out = tmp_path / "cdelta"
+    rc = run(["train", "--case", workdir / "case.json", "--model", "ts-ddr",
+              "--epochs", "1", "--batch", "2", "--val", "0", "--latent", "4",
+              "--c-delta", "50000", "--out", train_out] + args)
+    assert rc == 0
+    trained = json.loads((train_out / "eval_report.json").read_text())
+    costs = {}
+    for label, extra in (("saved", []), ("default", ["--c-delta", "300"])):
+        rc = run(["eval", "--checkpoint", train_out / "checkpoint.json",
+                  "--case", workdir / "case.json", "--out", tmp_path / label]
+                 + args + extra)
+        assert rc == 0
+        costs[label] = json.loads((tmp_path / label / "eval_report.json").read_text())["mean_cost"]
+    assert costs["saved"] == trained["mean_cost"]
+    assert costs["default"] != trained["mean_cost"]
+
+
 def test_eval_extended_horizon(workdir, tmp_path):
     out = tmp_path / "eval24"
     rc = run(["eval", "--checkpoint", workdir / "ddr" / "checkpoint.json",

@@ -150,6 +150,13 @@ def test_requires_lattice_and_deterministic_root(tiny_case):
         sddp_train(case, make_lattice(case, 2), iters=0, seed=0)
 
 
+def test_stage_solve_rejects_wrong_length_inflow_row():
+    case = build_cascade_case(horizon=4)
+    for row in (np.ones(3), np.ones(1)):
+        with pytest.raises(ValueError, match="inflows"):
+            stage_solve(case, 1, case.v0(), row, cuts=[])
+
+
 def test_cut_export_csv(tmp_path, tiny_case):
     case = tiny_case
     lat = make_lattice(case, 2)
