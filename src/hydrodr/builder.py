@@ -25,6 +25,13 @@ The second-stage and extensive-form LPs place one block per stage on the
 diagonal and couple each water row to the previous stage's volumes; the
 SDDP stage LP puts volume-fixing rows and columns in front of one block
 and an epigraph column with its cut rows after it.
+
+Training and evaluation solve the second-stage LP through
+:func:`solve_second_stage`: one persistent HiGHS model per case, deviation
+penalty, loss-cut count and tolerance (:mod:`hydrodr.highs`), built once
+and patched per path on its water rows and target rows only.
+:func:`build_second_stage` assembles the same LP from scratch for the
+interior-point oracle.
 """
 
 from __future__ import annotations
@@ -36,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import ipm, lpdump
+from . import highs, lpdump
 from .lp import LinearProgram, SolveResult
 from .model import GridCase
-from .scenarios import ScenarioPath
+from .scenarios import ScenarioPath, base_inflow
 
 log = logging.getLogger(__name__)
 
@@ -262,6 +269,16 @@ def build_second_stage(case: GridCase, path: ScenarioPath, targets,
     problem is feasible for any finite target matrix because the deviation
     split absorbs whatever the water balance cannot deliver.
     """
+    clipped = _clip_targets(case, targets, c_delta)
+    lp, var_map, target_rows = _horizon_lp(case, path, loss_cuts, clipped, c_delta)
+    lpdump.maybe_dump(lp, "second_stage")
+    return MultiPeriodProblem(lp=lp, target_rows=target_rows, var_map=var_map,
+                              c_delta=c_delta, targets=clipped)
+
+
+def _clip_targets(case: GridCase, targets, c_delta: float) -> np.ndarray:
+    """Validate the penalty and the (horizon, n_hydros) targets; return the
+    targets clipped into [0, 1.5 * vmax]."""
     if c_delta <= 0:
         raise ValueError("deviation penalty must be positive")
     T, H = case.horizon, case.n_hydros
@@ -277,11 +294,57 @@ def build_second_stage(case: GridCase, path: ScenarioPath, targets,
     n_clip = int(np.sum(clipped != targets))
     if n_clip:
         log.debug("clipped %d target entries into [0, %s]", n_clip, hi)
+    return clipped
 
-    lp, var_map, target_rows = _horizon_lp(case, path, loss_cuts, clipped, c_delta)
-    lpdump.maybe_dump(lp, "second_stage")
-    return MultiPeriodProblem(lp=lp, target_rows=target_rows, var_map=var_map,
-                              c_delta=c_delta, targets=clipped)
+
+class _SecondStageModel:
+    """The second-stage LP of one case on a persistent HiGHS model.
+
+    The template instance, whose optimal basis every solve restarts from,
+    depends on the case alone: the base lattice inflow
+    (:func:`hydrodr.scenarios.base_inflow`) at every stage and the initial
+    volumes as targets.  A path changes only the water rows (its inflows,
+    plus the initial volumes at stage 0) and the target rows.
+    """
+
+    def __init__(self, case: GridCase, loss_cuts: int, c_delta: float, tol: float):
+        T, H = case.horizon, case.n_hydros
+        self.case, self.c_delta = case, c_delta
+        template = ScenarioPath(np.tile(base_inflow(case), (T, 1)), source_id=("template",))
+        lp, self.var_map, self.target_rows = _horizon_lp(
+            case, template, loss_cuts, np.tile(case.v0(), (T, 1)), c_delta)
+        lpdump.maybe_dump(lp, "second_stage")
+        water = [lp.row_tags[("water", t, j)] for t in range(T) for j in range(H)]
+        self._rows = np.concatenate([water, self.target_rows.ravel()])
+        self._model = highs.PersistentLP(lp, tol)
+
+    def solve(self, path: ScenarioPath, clipped: np.ndarray):
+        T, H = self.case.horizon, self.case.n_hydros
+        if path.inflows.shape != (T, H):
+            raise ValueError(f"inflows must be {(T, H)}, got {path.inflows.shape}")
+        water = path.inflows.copy()
+        water[0] += self.case.v0()
+        lp, res = self._model.solve(self._rows, np.concatenate([water.ravel(), clipped.ravel()]))
+        prob = MultiPeriodProblem(lp=lp, target_rows=self.target_rows, var_map=self.var_map,
+                                  c_delta=self.c_delta, targets=clipped)
+        return prob, res
+
+
+_MODELS = highs.ModelPool()
+
+
+def solve_second_stage(case: GridCase, path: ScenarioPath, targets, c_delta: float,
+                       loss_cuts: int = DEFAULT_LOSS_CUTS,
+                       tol: float = 1e-8) -> tuple[MultiPeriodProblem, SolveResult]:
+    """Solve one path's second-stage LP (the LP of :func:`build_second_stage`,
+    same targets clipping) by HiGHS dual simplex on the case's persistent
+    model.  Returns (problem, result); ``problem.lp`` carries the path's
+    right-hand side, and ``result`` reads like :func:`hydrodr.ipm.solve`'s.
+    """
+    clipped = _clip_targets(case, targets, c_delta)
+    key = (case, loss_cuts, c_delta, tol)
+    with _MODELS.checkout(key, lambda: _SecondStageModel(case, loss_cuts, c_delta, tol)) as m:
+        return m.solve(path, clipped)
 
 
 def build_extensive(case: GridCase, path: ScenarioPath,
@@ -353,9 +416,10 @@ def evaluate_policy_cost(case: GridCase, paths, policy, c_delta: float,
                          tol: float = 1e-8, workers: int = 1) -> EvalStats:
     """Roll the policy out on every path and price the implementation.
 
-    ``rollout_seconds`` times the policy; ``solve_seconds`` times building
-    the second-stage LP plus solving it.  Solver failures are logged and
-    the path skipped; the failure count is part of the returned stats.
+    ``rollout_seconds`` times the policy; ``solve_seconds`` times
+    :func:`solve_second_stage`, right-hand-side patch included.  Solver
+    failures are logged and the path skipped; the failure count is part of
+    the returned stats.
     """
     paths = list(paths)
 
@@ -364,8 +428,7 @@ def evaluate_policy_cost(case: GridCase, paths, policy, c_delta: float,
         targets = policy.rollout(path)
         roll = time.perf_counter() - t0
         t0 = time.perf_counter()
-        prob = build_second_stage(case, path, targets, c_delta, loss_cuts)
-        res = ipm.solve(prob.lp, tol=tol)
+        prob, res = solve_second_stage(case, path, targets, c_delta, loss_cuts, tol)
         solve_t = time.perf_counter() - t0
         if not res.optimal:
             log.warning("evaluation solve failed (%s) on path %s", res.status, path.source_id)

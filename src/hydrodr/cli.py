@@ -177,12 +177,13 @@ def cmd_sddp(args) -> int:
         "case_hash": chash, "scenario_hash": shash, "iterations": state.iterations,
         "lower_bound": lb, "bound_trace": state.bound_trace,
         "cut_counts": state.cut_counts(), "stable_at": state.stable_at,
-        "train_seconds": train_seconds,
+        "failed_solves": state.failed_solves, "train_seconds": train_seconds,
     })
     with open(outdir / "cuts.csv", "w", newline="") as fh:
         sddp_mod.export_cuts_csv(state, fh)
     print(f"sddp: lower bound {lb:.4f} after {state.iterations} iterations "
-          f"({train_seconds:.1f}s), stable at {state.stable_at}")
+          f"({train_seconds:.1f}s), stable at {state.stable_at}, "
+          f"failed solves {state.failed_solves}")
 
     if args.test > 0:
         test = _test_paths(sset, args.test, args.seed)

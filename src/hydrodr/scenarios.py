@@ -146,6 +146,13 @@ def split(source: ScenarioSet, train_batch: int, n_val: int, n_test: int, seed: 
     return sampler, val, test
 
 
+def base_inflow(case: GridCase) -> np.ndarray:
+    """Half of each hydro's full-power stage water use, hm3 per stage."""
+    gens = {g.id: g for g in case.generators}
+    return np.array([0.5 * h.phi * gens[h.generator].pmax * case.stage_hours
+                     for h in case.hydros])
+
+
 def make_lattice(case: GridCase, n_points: int, spread: float = 0.6) -> ScenarioSet:
     """Synthetic stagewise-independent lattice sized from the case.
 
@@ -157,9 +164,7 @@ def make_lattice(case: GridCase, n_points: int, spread: float = 0.6) -> Scenario
         raise ValueError("n_points must be >= 1")
     if not 0.0 <= spread < 1.0:
         raise ValueError("spread must be in [0, 1)")
-    gens = {g.id: g for g in case.generators}
-    base = np.array([0.5 * h.phi * gens[h.generator].pmax * case.stage_hours
-                     for h in case.hydros])
+    base = base_inflow(case)
     offsets = np.array([0.0]) if n_points == 1 else np.linspace(-1.0, 1.0, n_points)
     levels = base[None, :] * (1.0 + spread * offsets[:, None])
     probs = np.full(n_points, 1.0 / n_points)

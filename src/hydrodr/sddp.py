@@ -8,6 +8,10 @@ incoming-volume duals into one new cut per stage, and finally re-solves
 stage one for the (non-decreasing) lower bound.  Simulation rolls the
 frozen cut pools forward on fresh paths, which gives the statistical upper
 bound paired with that lower bound.
+
+A failed stage solve is counted, never fatal: a failed backward solve
+drops that stage's cut, and a failed forward or bound solve ends its
+iteration without the cuts or the bound it would have produced.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ class SddpState:
     iterations: int = 0
     seed: int = 0
     stable_at: int | None = None
+    failed_solves: int = 0
 
     @property
     def lower_bound(self) -> float:
@@ -149,36 +154,52 @@ def sddp_train(case: GridCase, lattice: ScenarioSet, iters: int, seed: int,
     state = SddpState(pools=pools, seed=seed)
     rng = np.random.default_rng(seed)
 
+    def failed(exc: SddpError, it: int, step: str) -> None:
+        state.failed_solves += 1
+        log.warning("sddp iteration %d: %s skipped: %s", it, step, exc)
+
     for it in range(1, iters + 1):
+        state.iterations = it
         idx = _sample_stage_indices(lattice, rng)
         visited = [v0]
-        for t in range(T):
-            sol = stage_solve(case, t, visited[t], lattice.stages[t].values[idx[t]],
-                              pools[t], loss_cuts, tol)
-            visited.append(sol.x_out)
+        try:
+            for t in range(T):
+                sol = stage_solve(case, t, visited[t], lattice.stages[t].values[idx[t]],
+                                  pools[t], loss_cuts, tol)
+                visited.append(sol.x_out)
+        except SddpError as exc:
+            failed(exc, it, "forward pass")
+            continue
 
         for t in range(T - 1, 0, -1):
             st = lattice.stages[t]
             exp_val = 0.0
             exp_slope = np.zeros(case.n_hydros)
-            for k in range(st.probs.size):
-                sol = stage_solve(case, t, visited[t], st.values[k], pools[t],
-                                  loss_cuts, tol)
-                exp_val += st.probs[k] * sol.total
-                exp_slope += st.probs[k] * sol.dual_in
+            try:
+                for k in range(st.probs.size):
+                    sol = stage_solve(case, t, visited[t], st.values[k], pools[t],
+                                      loss_cuts, tol)
+                    exp_val += st.probs[k] * sol.total
+                    exp_slope += st.probs[k] * sol.dual_in
+            except SddpError as exc:
+                failed(exc, it, f"cut for stage {t - 1}")
+                continue
             intercept = exp_val - float(exp_slope @ visited[t])
             pools[t - 1].append(Cut(stage=t - 1, intercept=intercept, slope=exp_slope))
 
-        first = stage_solve(case, 0, v0, lattice.stages[0].values[0], pools[0],
-                            loss_cuts, min(tol, 1e-10))
+        try:
+            first = stage_solve(case, 0, v0, lattice.stages[0].values[0], pools[0],
+                                loss_cuts, min(tol, 1e-10))
+        except SddpError as exc:
+            failed(exc, it, "lower bound")
+            continue
         lb = first.total
         if state.bound_trace and lb < state.bound_trace[-1] - BOUND_TOL * (1.0 + abs(lb)):
             raise SddpError(
                 f"lower bound regressed at iteration {it}: "
                 f"{state.bound_trace[-1]:.9g} -> {lb:.9g}")
         state.bound_trace.append(lb)
-        state.iterations = it
-        if (state.stable_at is None and it > STABLE_WINDOW
+        if (state.stable_at is None and len(state.bound_trace) > STABLE_WINDOW
                 and abs(lb - state.bound_trace[-1 - STABLE_WINDOW])
                 <= STABLE_REL * max(1.0, abs(lb))):
             state.stable_at = it

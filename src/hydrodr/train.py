@@ -6,6 +6,11 @@ duals with the policy Jacobian; the batch gradient is the mean over
 successful solves, reduced in scenario order so runs are reproducible for
 a fixed seed regardless of worker count.  The update direction descends
 the sampled cost.
+
+Training and validation solve each path's LP with
+:func:`hydrodr.builder.solve_second_stage` (HiGHS dual simplex on a
+persistent model); :func:`gradcheck` audits the gradient with the
+interior-point solver of :mod:`hydrodr.ipm`, built and solved from scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import numpy as np
 
 from . import ipm
 from .builder import (build_second_stage, default_deviation_penalty, extract_duals,
-                      evaluate_policy_cost, map_ordered, DEFAULT_LOSS_CUTS)
+                      evaluate_policy_cost, map_ordered, solve_second_stage,
+                      DEFAULT_LOSS_CUTS)
 from .model import GridCase
 from .policy import Policy, init_params, spec_for_case
 from .scenarios import ScenarioSet, split
@@ -128,8 +134,7 @@ def _batch_pass(case, policy, batch, c_delta, loss_cuts, tol, workers=1):
 
     def one(path):
         targets, tape = policy.rollout_with_tape(path)
-        prob = build_second_stage(case, path, targets, c_delta, loss_cuts)
-        res = ipm.solve(prob.lp, tol=tol)
+        prob, res = solve_second_stage(case, path, targets, c_delta, loss_cuts, tol)
         if not res.optimal:
             log.warning("training solve failed (%s) on path %s", res.status, path.source_id)
             return None, None

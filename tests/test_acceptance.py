@@ -14,7 +14,7 @@ import pytest
 from hydrodr import ipm
 from hydrodr.builder import (build_extensive, build_second_stage,
                              default_deviation_penalty, evaluate_policy_cost,
-                             extract_duals)
+                             extract_duals, solve_second_stage)
 from hydrodr.cli import main as cli_main
 from hydrodr.model import extend_case, save_case
 from hydrodr.policy import Policy, init_params, spec_for_case
@@ -64,9 +64,29 @@ def comparison():
     }
 
 
+def ipm_second_stage(case, path, targets, c_delta, tol):
+    """The second-stage LP built from scratch and solved by the
+    interior-point oracle."""
+    prob = build_second_stage(case, path, targets, c_delta)
+    return prob, ipm.solve(prob.lp, tol=tol)
+
+
+def production_second_stage(case, path, targets, c_delta, tol):
+    """The second-stage LP as training and evaluation solve it."""
+    return solve_second_stage(case, path, targets, c_delta, tol=tol)
+
+
 def test_criterion_1_dual_gradient_law():
     """FD of the implementation cost in every target coordinate matches the
     extracted dual on 50 random convex instances."""
+    check_dual_gradient_law(ipm_second_stage, "interior-point oracle")
+
+
+def test_criterion_1_dual_gradient_law_production_solver():
+    check_dual_gradient_law(production_second_stage, "production HiGHS model")
+
+
+def check_dual_gradient_law(solve, label):
     t_start = time.perf_counter()
     rng = np.random.default_rng(2024)
     checked = excluded = failed = 0
@@ -76,8 +96,7 @@ def test_criterion_1_dual_gradient_law():
         path = random_path(case, rng)
         c_delta = default_deviation_penalty(case)
         targets = rng.uniform(0.15, 0.95, size=(case.horizon, case.n_hydros)) * case.vmax()
-        prob = build_second_stage(case, path, targets, c_delta)
-        res = ipm.solve(prob.lp, tol=1e-10)
+        prob, res = solve(case, path, targets, c_delta, 1e-10)
         assert res.optimal
         lam = extract_duals(prob, res).lam
         eps = 1e-4
@@ -85,10 +104,8 @@ def test_criterion_1_dual_gradient_law():
             for j in range(case.n_hydros):
                 bump = np.zeros_like(targets)
                 bump[t, j] = eps
-                pu = build_second_stage(case, path, targets + bump, c_delta)
-                ru = ipm.solve(pu.lp, tol=1e-10)
-                pd = build_second_stage(case, path, targets - bump, c_delta)
-                rd = ipm.solve(pd.lp, tol=1e-10)
+                pu, ru = solve(case, path, targets + bump, c_delta, 1e-10)
+                pd, rd = solve(case, path, targets - bump, c_delta, 1e-10)
                 if not (ru.optimal and rd.optimal):
                     excluded += 1
                     continue
@@ -107,7 +124,7 @@ def test_criterion_1_dual_gradient_law():
     runtime = time.perf_counter() - t_start
     total = checked + excluded + failed
     ok = (failed == 0 and excluded <= 0.10 * total and runtime < 300)
-    report(1, ok, f"{checked}/{total} coords matched (worst err/tol {worst:.3f}), "
+    report(1, ok, f"{label}: {checked}/{total} coords matched (worst err/tol {worst:.3f}), "
                   f"{excluded} kink-excluded ({100 * excluded / total:.1f}%), "
                   f"{failed} failed, {runtime:.0f}s")
 
@@ -133,6 +150,14 @@ def test_criterion_2_end_to_end_gradcheck():
 
 def test_criterion_3_subgradient_inequality():
     """Q(w, x') >= Q(w, x) + lam . (x' - x) on random target pairs."""
+    check_subgradient_inequality(ipm_second_stage, "interior-point oracle")
+
+
+def test_criterion_3_subgradient_inequality_production_solver():
+    check_subgradient_inequality(production_second_stage, "production HiGHS model")
+
+
+def check_subgradient_inequality(solve, label):
     rng = np.random.default_rng(99)
     violations = 0
     pairs = 0
@@ -142,14 +167,12 @@ def test_criterion_3_subgradient_inequality():
         c_delta = default_deviation_penalty(case)
         for _ in range(20):
             base = rng.uniform(0.0, 1.4, size=(case.horizon, case.n_hydros)) * case.vmax()
-            prob = build_second_stage(case, path, base, c_delta)
-            res = ipm.solve(prob.lp, tol=1e-9)
+            prob, res = solve(case, path, base, c_delta, 1e-9)
             assert res.optimal
             lam = extract_duals(prob, res).lam
             for _ in range(10):
                 other = rng.uniform(0.0, 1.4, size=base.shape) * case.vmax()
-                prob2 = build_second_stage(case, path, other, c_delta)
-                res2 = ipm.solve(prob2.lp, tol=1e-9)
+                prob2, res2 = solve(case, path, other, c_delta, 1e-9)
                 assert res2.optimal
                 lhs = res2.objective
                 rhs = res.objective + float(np.sum(lam * (other - base)))
@@ -157,7 +180,7 @@ def test_criterion_3_subgradient_inequality():
                 if lhs < rhs - 1e-6 * abs(res.objective):
                     violations += 1
     ok = violations == 0 and pairs >= 1000
-    report(3, ok, f"{pairs} target pairs over 5 instances, {violations} violations")
+    report(3, ok, f"{label}: {pairs} target pairs over 5 instances, {violations} violations")
 
 
 def test_criterion_4_sddp_exactness():

@@ -420,16 +420,18 @@ def test_evaluate_policy_cost_report_shape(tiny_case):
 
 
 def test_evaluate_policy_cost_times_lp_assembly_as_solve(tiny_case, monkeypatch):
+    # the per-path entry point patches the right-hand side and solves: all
+    # of it is solve time
     import time
     from hydrodr import builder
     delay = 0.05
-    real_build = builder.build_second_stage
+    real_solve = builder.solve_second_stage
 
-    def slow_build(*args, **kwargs):
+    def slow_solve(*args, **kwargs):
         time.sleep(delay)
-        return real_build(*args, **kwargs)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(builder, "build_second_stage", slow_build)
+    monkeypatch.setattr(builder, "solve_second_stage", slow_solve)
     rng = np.random.default_rng(1)
     paths = [random_path(tiny_case, rng) for _ in range(3)]
     stats = evaluate_policy_cost(tiny_case, paths, _HoldPolicy(tiny_case),

@@ -91,6 +91,35 @@ def test_sddp_command(workdir):
     assert (out / "eval_report.json").exists()
 
 
+def test_sddp_survives_a_failed_stage_solve(workdir, tmp_path, monkeypatch):
+    from hydrodr import ipm
+    from hydrodr.lp import SolveResult
+    real_solve = ipm.solve
+    calls = {"n": 0}
+
+    def fail_once(lp, **kw):
+        calls["n"] += 1
+        if calls["n"] == 20:            # a backward solve of iteration 2
+            return SolveResult(status="iteration_limit")
+        return real_solve(lp, **kw)
+
+    monkeypatch.setattr("hydrodr.sddp.ipm.solve", fail_once)
+    out = tmp_path / "sddp"
+    rc = run(["sddp", "--case", workdir / "case.json", "--seed", "1",
+              "--iters", "4", "--test", "0", "--lattice-points", "2", "--out", out])
+    assert rc == 0
+    rep = json.loads((out / "sddp_report.json").read_text())
+    assert rep["failed_solves"] == 1
+    assert rep["iterations"] == 4 and len(rep["bound_trace"]) == 4
+    assert sum(rep["cut_counts"]) == 4 * 3 - 1      # the failed stage lost its cut
+    assert len(read_csv(out / "cuts.csv")) == 1 + sum(rep["cut_counts"])
+
+
+def test_sddp_reports_no_failed_solves(workdir):
+    rep = json.loads((workdir / "sddp" / "sddp_report.json").read_text())
+    assert rep["failed_solves"] == 0
+
+
 def test_ldr_run_for_compare(workdir):
     out = workdir / "ldr"
     rc = run(["train", "--case", workdir / "case.json", "--model", "ts-ldr",

@@ -167,3 +167,30 @@ def test_cut_export_csv(tmp_path, tiny_case):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "stage,intercept,slope_0"
     assert len(lines) == 1 + sum(state.cut_counts())
+
+
+@pytest.mark.parametrize("fail_at, bounds, cuts", [
+    (1, 3, 9),      # forward solve of iteration 1: no cuts, no bound
+    (5, 4, 11),     # first backward solve: that stage's cut is dropped
+    (11, 3, 12),    # bound solve of iteration 1: its cuts stay, no bound
+])
+def test_failed_stage_solve_is_counted_not_fatal(monkeypatch, fail_at, bounds, cuts):
+    from hydrodr.lp import SolveResult
+    case = build_cascade_case(horizon=4)
+    lattice = make_lattice(case, 2)
+    real_solve = ipm.solve
+    calls = {"n": 0}
+
+    def fail_once(lp, **kw):
+        calls["n"] += 1
+        if calls["n"] == fail_at:
+            return SolveResult(status="iteration_limit")
+        return real_solve(lp, **kw)
+
+    monkeypatch.setattr("hydrodr.sddp.ipm.solve", fail_once)
+    state, lb = sddp_train(case, lattice, iters=4, seed=0)
+    assert state.failed_solves == 1
+    assert state.iterations == 4
+    assert len(state.bound_trace) == bounds
+    assert sum(state.cut_counts()) == cuts
+    assert np.isfinite(lb)

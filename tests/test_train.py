@@ -103,6 +103,18 @@ def test_worker_count_does_not_change_results():
                             [r.train_loss for r in r2.rows])
 
 
+def test_ts_ddr_worker_count_does_not_change_results():
+    case = build_tiny_case(horizon=3)
+    lat = make_lattice(case, 3)
+    p1, r1 = train(case, lat, "ts-ddr", small_config(epochs=4, workers=1))
+    p2, r2 = train(case, lat, "ts-ddr", small_config(epochs=4, workers=3))
+    assert np.array_equal(pack(p1), pack(p2))
+    np.testing.assert_equal([r.train_loss for r in r1.rows],
+                            [r.train_loss for r in r2.rows])
+    np.testing.assert_equal([r.val_mean for r in r1.rows],
+                            [r.val_mean for r in r2.rows])
+
+
 def test_validation_is_pure(tiny_case):
     case = tiny_case
     lat = make_lattice(case, 3)
@@ -169,16 +181,17 @@ def test_abort_when_too_many_solves_fail(monkeypatch):
     case = build_tiny_case(horizon=3)
     lat = make_lattice(case, 2)
     from hydrodr.lp import SolveResult
-    real_solve = ipm.solve
+    from hydrodr.train import solve_second_stage as real_solve
     calls = {"n": 0}
 
-    def flaky(lp, **kw):
+    def flaky(*args, **kw):
         calls["n"] += 1
+        prob, res = real_solve(*args, **kw)
         if calls["n"] % 2 == 0:
-            return SolveResult(status="iteration_limit")
-        return real_solve(lp, **kw)
+            return prob, SolveResult(status="iteration_limit")
+        return prob, res
 
-    monkeypatch.setattr("hydrodr.train.ipm.solve", flaky)
+    monkeypatch.setattr("hydrodr.train.solve_second_stage", flaky)
     with pytest.raises(TrainingError, match="failed"):
         train(case, lat, "ts-ddr", small_config(epochs=2, batch_size=4, n_val=0))
 
@@ -187,16 +200,17 @@ def test_failed_solves_renormalize_batch(monkeypatch):
     case = build_tiny_case(horizon=3)
     lat = make_lattice(case, 2)
     from hydrodr.lp import SolveResult
-    real_solve = ipm.solve
+    from hydrodr.train import solve_second_stage as real_solve
     calls = {"n": 0}
 
-    def one_failure(lp, **kw):
+    def one_failure(*args, **kw):
         calls["n"] += 1
+        prob, res = real_solve(*args, **kw)
         if calls["n"] == 2:
-            return SolveResult(status="iteration_limit")
-        return real_solve(lp, **kw)
+            return prob, SolveResult(status="iteration_limit")
+        return prob, res
 
-    monkeypatch.setattr("hydrodr.train.ipm.solve", one_failure)
+    monkeypatch.setattr("hydrodr.train.solve_second_stage", one_failure)
     cfg = small_config(epochs=1, batch_size=8, n_val=0, max_failed_frac=0.2)
     params, report = train(case, lat, "ts-ddr", cfg)
     assert report.solver_failures == 1
@@ -214,8 +228,7 @@ def test_rejected_duals_count_as_failed_solve(monkeypatch):
     grads = []
     for path in paths:
         targets, tape = policy.rollout_with_tape(path)
-        prob = build_second_stage(case, path, targets, c_delta)
-        res = ipm.solve(prob.lp)
+        prob, res = train_mod.solve_second_stage(case, path, targets, c_delta)
         grads.append(policy.gradient(path, tape, extract_duals(prob, res).lam))
 
     calls = {"n": 0}
