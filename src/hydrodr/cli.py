@@ -96,7 +96,8 @@ def cmd_train(args) -> int:
         "config": asdict(config), "wall_clock_seconds": report.wall_clock,
         "solver_failures": report.solver_failures, "best_epoch": report.best_epoch,
         "best_val": report.best_val, "best_checkpoint": report.best_checkpoint,
-        "stopped_early": report.stopped_early, "curve": report.curve(),
+        "stopped_early": report.stopped_early, "adam_skipped": report.adam_skipped,
+        "clipped_targets": report.clipped_targets, "curve": report.curve(),
     })
     write_curve_csv(outdir / "curve.csv", report.curve())
     print(f"trained {args.model}: best epoch {report.best_epoch}, "

@@ -11,9 +11,13 @@ The linear rule is time-specific: stage t applies a matrix to the stacked
 history [w_2, ..., w_t, x0], exactly linear so its gradient is an outer
 product.
 
-Backward passes take per-stage cotangents (the target-row duals) and
-return the exact gradient of sum_t lam_t . targets_t with respect to the
-parameters, via reverse accumulation through the latent recurrence.
+Both rules roll out a batch at once: the inflows of B equally long paths
+are stacked into a (B, T, H) array, and each stage is one matrix product
+per layer for every path.  Backward passes take (B, T, H) cotangents (the
+target-row duals) and return the exact gradient of
+sum_b sum_t lam[b, t] . targets[b, t] with respect to the parameters, via
+reverse accumulation through the latent recurrence.  A single path is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -97,12 +102,11 @@ class LdrParams:
 
 @dataclass
 class RolloutTape:
-    """Everything the backward pass needs to replay one forward rollout."""
-    inputs: list[np.ndarray] = field(default_factory=list)        # first-layer inputs
-    hidden: list[list[np.ndarray]] = field(default_factory=list)  # activations per layer
-    head_x_pre: list[np.ndarray] = field(default_factory=list)    # pre-squash target head
-    latents: list[np.ndarray] = field(default_factory=list)       # l_1 .. l_T
-    targets: np.ndarray | None = None
+    """What the VJP of one batch rollout needs.  Stage-major: entry t of
+    each field is a (B, ·) array whose row b belongs to path b."""
+    inputs: Sequence[np.ndarray]     # input of each stage's first map (LDR: the history)
+    hidden: list[np.ndarray] = field(default_factory=list)   # DDR: (T, B, d) per layer
+    head_x_pre: np.ndarray | None = None                      # DDR: (T, B, H) pre-squash
 
 
 # -- flat-vector packing (Adam and finite differences work on one vector) ----
@@ -136,6 +140,8 @@ def init_params(spec: PolicySpec, seed: int):
     initial-volume block, so the starting policy holds the initial volumes.
     """
     if spec.kind == "ts-ddr":
+        if spec.hidden_layers < 1:
+            raise ValueError("the deep rule needs at least one hidden layer")
         rng = np.random.default_rng(seed)
         dims = [spec.input_dim] + [spec.latent_dim] * spec.hidden_layers
         w, b = [], []
@@ -179,133 +185,138 @@ def _squash_grad(spec: PolicySpec, pre: np.ndarray) -> np.ndarray:
     return (hi - lo) * s * (1.0 - s)
 
 
-def ddr_forward(params: DdrParams, path: ScenarioPath, x0=None,
-                horizon: int | None = None) -> tuple[np.ndarray, RolloutTape]:
-    """Roll the recurrent rule along a path; returns (targets, tape).
+def _check_inflows(spec: PolicySpec, inflows) -> np.ndarray:
+    inflows = np.asarray(inflows, dtype=float)
+    if inflows.ndim != 3 or inflows.shape[2] != spec.n_hydros:
+        raise ValueError(f"inflows must be (paths, stages, {spec.n_hydros}), "
+                         f"got {inflows.shape}")
+    return inflows
 
-    ``horizon`` defaults to the path length; any length works because the
-    parameters are stage-invariant.
+
+def ddr_forward(params: DdrParams, inflows) -> tuple[np.ndarray, RolloutTape]:
+    """Roll the recurrent rule along a (B, T, H) inflow stack; returns the
+    (B, T, H) targets and the tape.  Any T works: the parameters are
+    stage-invariant.
+
+    Each stage is one matmul per layer for the whole batch.  The head part
+    [w | x0 | flag] of the first layer's input is known before the loop,
+    so its product with the weights is taken once for every stage; the
+    loop adds the latent part only.  The latent of stage t is written
+    straight into the input of stage t+1 (the last stage's is never used).
     """
     spec = params.spec
     H = spec.n_hydros
-    T = horizon if horizon is not None else path.inflows.shape[0]
-    if path.inflows.shape[1] != H:
-        raise ValueError("path hydro dimension does not match the policy")
-    if T > path.inflows.shape[0]:
-        raise ValueError("rollout horizon exceeds the path length")
-    x0 = np.asarray(spec.x0 if x0 is None else x0, dtype=float)
-    w_scale = np.asarray(spec.w_scale)
-    x0_scale = np.asarray(spec.x0_scale)
+    inflows = _check_inflows(spec, inflows)
+    B, T, _ = inflows.shape
+    lat = slice(2 * H + 1, None)
+    a = np.zeros((T, B, spec.input_dim))
+    a[1:, :, :H] = inflows[:, 1:].transpose(1, 0, 2) / np.asarray(spec.w_scale)
+    a[0, :, H:2 * H] = np.asarray(spec.x0) / np.asarray(spec.x0_scale)
+    a[0, :, 2 * H] = 1.0
+    w0 = params.w[0]
+    head_pre = a[..., :lat.start] @ w0[:, :lat.start].T + params.b[0]
+    w0_lat = w0[:, lat].T
+    layers = [(w.T, b) for w, b in zip(params.w[1:], params.b[1:])]
+    heads_w = np.concatenate([params.w_x, params.w_l]).T
+    heads_b = np.concatenate([params.b_x, params.b_l])
 
-    tape = RolloutTape()
-    lat = np.zeros(spec.latent_dim)
-    targets = np.zeros((T, H))
+    hidden = [np.empty((T, B, w.shape[0])) for w in params.w]
+    hx = np.empty((T, B, H))
     for t in range(T):
-        head = np.zeros(2 * H + 1)
-        if t == 0:
-            head[H:2 * H] = x0 / x0_scale
-            head[2 * H] = 1.0
-        else:
-            head[:H] = path.inflows[t] / w_scale
-        a = np.concatenate([head, lat])
-        acts = []
-        z = a
-        for w, b in zip(params.w, params.b):
-            z = np.tanh(w @ z + b)
-            acts.append(z)
-        hx = params.w_x @ z + params.b_x
-        lat = np.tanh(params.w_l @ z + params.b_l)
-        targets[t] = _squash(spec, hx)
-        tape.inputs.append(a)
-        tape.hidden.append(acts)
-        tape.head_x_pre.append(hx)
-        tape.latents.append(lat)
-    tape.targets = targets
-    return targets, tape
+        pre = head_pre[t] + a[t, :, lat] @ w0_lat if t else head_pre[0]
+        z = np.tanh(pre, out=hidden[0][t])
+        for k, (w_t, b) in enumerate(layers, 1):
+            z = np.tanh(z @ w_t + b, out=hidden[k][t])
+        out = z @ heads_w + heads_b
+        hx[t] = out[:, :H]
+        if t + 1 < T:
+            np.tanh(out[:, H:], out=a[t + 1, :, lat])
+    targets = np.ascontiguousarray(_squash(spec, hx).transpose(1, 0, 2))
+    return targets, RolloutTape(inputs=a, hidden=hidden, head_x_pre=hx)
 
 
-def ddr_backward(params: DdrParams, tape: RolloutTape, lam: np.ndarray) -> DdrParams:
-    """Gradient of sum_t lam_t . targets_t w.r.t. the parameters.
+def _outer_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum over stages and paths of outer(g[t, b], x[t, b])."""
+    return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
-    Reverse accumulation through the latent chain; ``lam`` entries are
-    treated as constants (they come from the dispatch duals).
+
+def ddr_backward(params: DdrParams, tape: RolloutTape, lam) -> DdrParams:
+    """Gradient of sum_b sum_t lam[b, t] . targets[b, t] w.r.t. the
+    parameters, summed over the batch.
+
+    Reverse accumulation through the latent chain, one (B, ·) matmul per
+    layer and stage; the weight gradients are then one matmul each over
+    all stages and paths.  ``lam`` is (B, T, H) and treated as constant
+    (it comes from the dispatch duals); a zero row adds nothing.
     """
     spec = params.spec
-    T = len(tape.inputs)
+    H = spec.n_hydros
+    a, hidden = tape.inputs, tape.hidden
+    T, B = a.shape[:2]
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (T, spec.n_hydros):
-        raise ValueError(f"cotangents must be ({T}, {spec.n_hydros}), got {lam.shape}")
-    g_w = [np.zeros_like(w) for w in params.w]
-    g_b = [np.zeros_like(b) for b in params.b]
-    g_wx = np.zeros_like(params.w_x)
-    g_bx = np.zeros_like(params.b_x)
-    g_wl = np.zeros_like(params.w_l)
-    g_bl = np.zeros_like(params.b_l)
-
-    g_lat = np.zeros(spec.latent_dim)     # dL/d latent_t flowing backwards
+    if lam.shape != (B, T, H):
+        raise ValueError(f"cotangents must be ({B}, {T}, {H}), got {lam.shape}")
+    lat = slice(2 * H + 1, None)
+    gh_x = lam.transpose(1, 0, 2) * _squash_grad(spec, tape.head_x_pre)
+    g_top = gh_x @ params.w_x               # the target head's share of dL/dz
+    tanh_grad = [1.0 - z * z for z in hidden]
+    lat_grad = 1.0 - a[1:, :, lat] ** 2     # latents of stages 0 .. T-2
+    w0_lat = params.w[0][:, lat]
+    g_pre = [np.empty_like(z) for z in hidden]
+    gh_l = np.zeros((T, B, spec.latent_dim))    # the last latent feeds nothing
     for t in range(T - 1, -1, -1):
-        z_last = tape.hidden[t][-1] if params.w else tape.inputs[t]
-        gh_x = lam[t] * _squash_grad(spec, tape.head_x_pre[t])
-        gh_l = g_lat * (1.0 - tape.latents[t] ** 2)
-        g_wx += np.outer(gh_x, z_last)
-        g_bx += gh_x
-        g_wl += np.outer(gh_l, z_last)
-        g_bl += gh_l
-        g_z = params.w_x.T @ gh_x + params.w_l.T @ gh_l
-        for k in range(len(params.w) - 1, -1, -1):
-            z_in = tape.hidden[t][k - 1] if k > 0 else tape.inputs[t]
-            g_pre = g_z * (1.0 - tape.hidden[t][k] ** 2)
-            g_w[k] += np.outer(g_pre, z_in)
-            g_b[k] += g_pre
-            g_z = params.w[k].T @ g_pre
-        # the tail of the first-layer input is latent_{t-1}
-        g_lat = g_z[2 * spec.n_hydros + 1:]
-    return DdrParams(spec=spec, w=g_w, b=g_b, w_x=g_wx, b_x=g_bx, w_l=g_wl, b_l=g_bl)
+        g_z = g_top[t] + gh_l[t] @ params.w_l
+        for k in range(len(hidden) - 1, -1, -1):
+            g = np.multiply(g_z, tanh_grad[k][t], out=g_pre[k][t])
+            if k:
+                g_z = g @ params.w[k]
+        if t:
+            gh_l[t - 1] = (g_pre[0][t] @ w0_lat) * lat_grad[t - 1]
+    return DdrParams(spec=spec,
+                     w=[_outer_sum(g, x) for g, x in zip(g_pre, [a, *hidden[:-1]])],
+                     b=[g.sum(axis=(0, 1)) for g in g_pre],
+                     w_x=_outer_sum(gh_x, hidden[-1]), b_x=gh_x.sum(axis=(0, 1)),
+                     w_l=_outer_sum(gh_l, hidden[-1]), b_l=gh_l.sum(axis=(0, 1)))
 
 
 # -- linear rule ---------------------------------------------------------------
 
-def _history_stack(spec: PolicySpec, path: ScenarioPath, x0, t: int) -> np.ndarray:
-    """[w_2, ..., w_t, x0] for stage index t (0-based): t inflow blocks."""
-    blocks = [path.inflows[s] for s in range(1, t + 1)]
-    blocks.append(np.asarray(x0, dtype=float))
-    return np.concatenate(blocks)
-
-
-def ldr_forward(params: LdrParams, path: ScenarioPath, x0=None) -> np.ndarray:
+def ldr_forward(params: LdrParams, inflows) -> tuple[np.ndarray, RolloutTape]:
+    """Stage t applies theta_t to the (B, (t+1)H) history [w_2..w_{t+1} | x0]
+    of every path at once; returns the (B, T, H) targets and the tape."""
     spec = params.spec
+    inflows = _check_inflows(spec, inflows)
+    B, _, H = inflows.shape
     T = spec.horizon
-    if path.inflows.shape[0] < T:
+    if inflows.shape[1] < T:
         raise ValueError("path shorter than the linear rule's horizon")
-    x0 = np.asarray(spec.x0 if x0 is None else x0, dtype=float)
-    targets = np.zeros((T, spec.n_hydros))
-    for t in range(T):
-        s_t = _history_stack(spec, path, x0, t)
-        if params.theta[t].shape[1] != s_t.size:
-            raise ValueError(f"stage {t}: rule expects {params.theta[t].shape[1]} "
-                             f"history entries, got {s_t.size}")
-        targets[t] = params.theta[t] @ s_t
-    return targets
+    x0 = np.broadcast_to(np.asarray(spec.x0, dtype=float), (B, H))
+    targets = np.empty((B, T, H))
+    history = []
+    for t, theta in enumerate(params.theta):
+        s_t = np.concatenate([inflows[:, 1:t + 1].reshape(B, t * H), x0], axis=1)
+        if theta.shape[1] != s_t.shape[1]:
+            raise ValueError(f"stage {t}: rule expects {theta.shape[1]} "
+                             f"history entries, got {s_t.shape[1]}")
+        targets[:, t] = s_t @ theta.T
+        history.append(s_t)
+    return targets, RolloutTape(inputs=history)
 
 
-def ldr_backward(params: LdrParams, path: ScenarioPath, x0, lam: np.ndarray) -> LdrParams:
-    """dL/d theta_t = lam_t (outer) history_t; exact, no approximation."""
+def ldr_backward(params: LdrParams, tape: RolloutTape, lam) -> LdrParams:
+    """dL/d theta_t = sum_b lam[b, t] (outer) history[b, t]; exact."""
     spec = params.spec
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (spec.horizon, spec.n_hydros):
-        raise ValueError("cotangent shape mismatch")
-    x0 = np.asarray(spec.x0 if x0 is None else x0, dtype=float)
-    grads = []
-    for t in range(spec.horizon):
-        s_t = _history_stack(spec, path, x0, t)
-        grads.append(np.outer(lam[t], s_t))
-    return LdrParams(spec=spec, theta=grads)
+    shape = (tape.inputs[0].shape[0], spec.horizon, spec.n_hydros)
+    if lam.shape != shape:
+        raise ValueError(f"cotangents must be {shape}, got {lam.shape}")
+    return LdrParams(spec=spec, theta=[lam[:, t].T @ s_t for t, s_t in enumerate(tape.inputs)])
 
 
 # -- rollout facade used by evaluation and the trainer ------------------------
 
 class Policy:
-    """Bundles spec+params behind a uniform ``rollout(path) -> targets``."""
+    """Bundles spec+params behind batch rollouts and their VJP."""
 
     def __init__(self, params):
         self.params = params
@@ -319,20 +330,23 @@ class Policy:
         return self.params.spec.kind
 
     def rollout(self, path: ScenarioPath) -> np.ndarray:
-        if isinstance(self.params, DdrParams):
-            targets, _ = ddr_forward(self.params, path)
-            return targets
-        return ldr_forward(self.params, path)
+        """(T, H) targets of one path: the batch rollout with B = 1."""
+        return self._forward(path.inflows[None])[0][0]
 
-    def rollout_with_tape(self, path: ScenarioPath):
-        if isinstance(self.params, DdrParams):
-            return ddr_forward(self.params, path)
-        return ldr_forward(self.params, path), None
+    def rollout_with_tape(self, paths: Sequence[ScenarioPath]):
+        """(B, T, H) targets of equally long paths, plus the tape that
+        :meth:`gradient` replays."""
+        return self._forward(np.stack([p.inflows for p in paths]))
 
-    def gradient(self, path: ScenarioPath, tape, lam: np.ndarray) -> np.ndarray:
-        if isinstance(self.params, DdrParams):
-            return pack(ddr_backward(self.params, tape, lam))
-        return pack(ldr_backward(self.params, path, None, lam))
+    def gradient(self, tape: RolloutTape, lam) -> np.ndarray:
+        """Flat gradient of sum_b sum_t lam[b, t] . targets[b, t] for
+        (B, T, H) cotangents ``lam``, summed over the batch."""
+        backward = ddr_backward if isinstance(self.params, DdrParams) else ldr_backward
+        return pack(backward(self.params, tape, lam))
+
+    def _forward(self, inflows):
+        forward = ddr_forward if isinstance(self.params, DdrParams) else ldr_forward
+        return forward(self.params, inflows)
 
     def with_vector(self, vec: np.ndarray) -> "Policy":
         return Policy(unpack_like(self.params, vec))

@@ -102,13 +102,33 @@ def sample_paths(sset: ScenarioSet, count: int, seed: int) -> list[ScenarioPath]
     return _draw(sset, count, rng)
 
 
+def _stage_cdf(probs: np.ndarray) -> np.ndarray:
+    """Normalized cumulative distribution of one stage's probabilities,
+    validated as ``Generator.choice`` validates ``p``."""
+    total = float(np.sum(probs))
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if np.any(probs < 0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(probs)
+    return cdf / cdf[-1]
+
+
 def _draw(sset: ScenarioSet, count: int, rng: np.random.Generator) -> list[ScenarioPath]:
     out = []
     if sset.mode == "lattice":
-        for _ in range(count):
-            idx = tuple(int(rng.choice(st.probs.size, p=st.probs)) for st in sset.stages)
-            inflows = np.stack([st.values[i] for st, i in zip(sset.stages, idx)])
-            out.append(ScenarioPath(inflows=inflows, source_id=("lattice",) + idx))
+        # one uniform per (path, stage) in path-major order, inverted through
+        # each stage's CDF: the draws ``rng.choice(K, p=probs)`` makes path by
+        # path and stage by stage
+        u = rng.random((count, len(sset.stages)))
+        idx = np.stack([np.searchsorted(_stage_cdf(st.probs), u[:, t], side="right")
+                        for t, st in enumerate(sset.stages)], axis=1)
+        inflows = np.stack([st.values[idx[:, t]] for t, st in enumerate(sset.stages)], axis=1)
+        for k in range(count):
+            out.append(ScenarioPath(inflows=inflows[k],
+                                    source_id=("lattice",) + tuple(int(i) for i in idx[k])))
     else:
         rows = rng.integers(0, sset.n_historical, size=count)
         for r in rows:

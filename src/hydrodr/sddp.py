@@ -88,13 +88,12 @@ def _check_lattice(case: GridCase, lattice: ScenarioSet) -> None:
 
 
 def _stage_lp(case: GridCase, t: int, x_in, inflow_row, cuts: list[Cut],
-              loss_cuts: int):
-    """One-stage dispatch LP: the stage block behind one fixing row and
-    column per incoming volume (the rows' duals are the value-function
+              blk: StageBlock):
+    """One-stage dispatch LP: the stage block ``blk`` behind one fixing row
+    and column per incoming volume (the rows' duals are the value-function
     slopes), then an epigraph column ``phi`` over the cut pool, whose rows
     follow the loss cuts."""
     H = case.n_hydros
-    blk = StageBlock(case, loss_cuts)
     vin = np.arange(H)
     n = H + blk.n + 1
     cols = {"vin": vin, **{k: v + H for k, v in blk.cols.items()}, "phi": np.array([n - 1])}
@@ -124,8 +123,14 @@ def _stage_lp(case: GridCase, t: int, x_in, inflow_row, cuts: list[Cut],
 
 
 def stage_solve(case: GridCase, t: int, x_in, inflow_row, cuts: list[Cut],
-                loss_cuts: int = DEFAULT_LOSS_CUTS, tol: float = 1e-9) -> StageSolution:
-    lp, cols = _stage_lp(case, t, x_in, inflow_row, cuts, loss_cuts)
+                loss_cuts: int = DEFAULT_LOSS_CUTS, tol: float = 1e-9, *,
+                block: StageBlock | None = None) -> StageSolution:
+    """Solve stage ``t`` at incoming volumes ``x_in``.  ``block`` is the
+    case's ``StageBlock(case, loss_cuts)``, built once by callers that
+    solve many stages; without it one is built for this solve."""
+    if block is None:
+        block = StageBlock(case, loss_cuts)
+    lp, cols = _stage_lp(case, t, x_in, inflow_row, cuts, block)
     res = ipm.solve(lp, tol=tol)
     if not res.optimal:
         raise SddpError(f"stage {t} solve failed with status {res.status}")
@@ -153,6 +158,7 @@ def sddp_train(case: GridCase, lattice: ScenarioSet, iters: int, seed: int,
     pools: list[list[Cut]] = [[] for _ in range(T)]
     state = SddpState(pools=pools, seed=seed)
     rng = np.random.default_rng(seed)
+    blk = StageBlock(case, loss_cuts)
 
     def failed(exc: SddpError, it: int, step: str) -> None:
         state.failed_solves += 1
@@ -165,7 +171,7 @@ def sddp_train(case: GridCase, lattice: ScenarioSet, iters: int, seed: int,
         try:
             for t in range(T):
                 sol = stage_solve(case, t, visited[t], lattice.stages[t].values[idx[t]],
-                                  pools[t], loss_cuts, tol)
+                                  pools[t], loss_cuts, tol, block=blk)
                 visited.append(sol.x_out)
         except SddpError as exc:
             failed(exc, it, "forward pass")
@@ -178,7 +184,7 @@ def sddp_train(case: GridCase, lattice: ScenarioSet, iters: int, seed: int,
             try:
                 for k in range(st.probs.size):
                     sol = stage_solve(case, t, visited[t], st.values[k], pools[t],
-                                      loss_cuts, tol)
+                                      loss_cuts, tol, block=blk)
                     exp_val += st.probs[k] * sol.total
                     exp_slope += st.probs[k] * sol.dual_in
             except SddpError as exc:
@@ -189,7 +195,7 @@ def sddp_train(case: GridCase, lattice: ScenarioSet, iters: int, seed: int,
 
         try:
             first = stage_solve(case, 0, v0, lattice.stages[0].values[0], pools[0],
-                                loss_cuts, min(tol, 1e-10))
+                                loss_cuts, min(tol, 1e-10), block=blk)
         except SddpError as exc:
             failed(exc, it, "lower bound")
             continue
@@ -241,6 +247,7 @@ def simulate_paths(state: SddpState, case: GridCase, paths,
     n_failed = 0
     n_solves = 0
     t_solve = 0.0
+    blk = StageBlock(case, loss_cuts)
     for path in paths:
         x = case.v0()
         total = 0.0
@@ -248,7 +255,7 @@ def simulate_paths(state: SddpState, case: GridCase, paths,
             for t in range(case.horizon):
                 t0 = time.perf_counter()
                 sol = stage_solve(case, t, x, path.inflows[t], state.pools[t],
-                                  loss_cuts, tol)
+                                  loss_cuts, tol, block=blk)
                 t_solve += time.perf_counter() - t0
                 n_solves += 1
                 total += sol.stage_cost

@@ -1,11 +1,12 @@
 """Training loop: sample scenarios, solve the dispatch LP per rollout,
 convert target duals into parameter gradients, apply Adam.
 
-The per-scenario gradient is the vector-Jacobian product of the target-row
-duals with the policy Jacobian; the batch gradient is the mean over
-successful solves, reduced in scenario order so runs are reproducible for
-a fixed seed regardless of worker count.  The update direction descends
-the sampled cost.
+The batch gradient is the vector-Jacobian product of the stacked
+target-row duals with the policy Jacobian, taken once for the whole batch
+and divided by the number of successful solves.  Rollout and VJP run
+outside the worker threads, so runs are reproducible for a fixed seed
+regardless of worker count.  The update direction descends the sampled
+cost.
 
 Training and validation solve each path's LP with
 :func:`hydrodr.builder.solve_second_stage` (HiGHS dual simplex on a
@@ -116,6 +117,8 @@ class TrainReport:
     best_val: float = float("inf")
     best_checkpoint: str = "initial"
     stopped_early: bool = False
+    adam_skipped: int = 0                 # Adam steps skipped on a non-finite gradient
+    clipped_targets: int = 0              # target entries clipped into range, all batches
 
     def curve(self) -> list[dict]:
         return [{"epoch": r.epoch, "train_loss": r.train_loss,
@@ -127,31 +130,42 @@ class TrainReport:
 def _batch_pass(case, policy, batch, c_delta, loss_cuts, tol, workers=1):
     """Forward+solve+backward over one batch.
 
-    Gradients are reduced in scenario order whatever the worker count, so
-    training runs are bit-reproducible under a fixed seed.  Returns
-    (mean gradient over successes, mean loss, n_failed).
+    One rollout and one VJP cover the whole batch; only the per-path
+    solves run through :func:`map_ordered`.  A failed or rejected path
+    gets a zero cotangent row, and the summed gradient is divided by the
+    number of successes.  Returns (mean gradient over successes, mean
+    loss, n_failed, n_clipped), where n_clipped counts the target entries
+    the LP clipped into range.
     """
+    targets, tape = policy.rollout_with_tape(batch)
 
-    def one(path):
-        targets, tape = policy.rollout_with_tape(path)
-        prob, res = solve_second_stage(case, path, targets, c_delta, loss_cuts, tol)
+    def one(i):
+        path = batch[i]
+        prob, res = solve_second_stage(case, path, targets[i], c_delta, loss_cuts, tol)
+        clipped = int(np.count_nonzero(prob.targets != targets[i]))
         if not res.optimal:
             log.warning("training solve failed (%s) on path %s", res.status, path.source_id)
-            return None, None
+            return None, None, clipped
         try:
             lam = extract_duals(prob, res).lam
         except ValueError as exc:     # a non-finite dual or one over the penalty
             log.warning("training duals rejected (%s) on path %s", exc, path.source_id)
-            return None, None
-        return policy.gradient(path, tape, lam), res.objective
+            return None, None, clipped
+        return lam, res.objective, clipped
 
-    outcomes = map_ordered(one, batch, workers)
-    grads = [g for g, _ in outcomes if g is not None]
-    losses = [q for _, q in outcomes if q is not None]
-    n_failed = len(batch) - len(grads)
-    if not grads:
-        return None, float("nan"), n_failed
-    return np.mean(grads, axis=0), float(np.mean(losses)), n_failed
+    outcomes = map_ordered(one, range(len(batch)), workers)
+    lam = np.zeros_like(targets)
+    losses = []
+    for i, (lam_i, loss, _) in enumerate(outcomes):
+        if lam_i is not None:
+            lam[i] = lam_i
+            losses.append(loss)
+    n_failed = len(batch) - len(losses)
+    n_clipped = sum(clipped for *_, clipped in outcomes)
+    if not losses:
+        return None, float("nan"), n_failed, n_clipped
+    return (policy.gradient(tape, lam) / len(losses), float(np.mean(losses)),
+            n_failed, n_clipped)
 
 
 def train(case: GridCase, scenarios: ScenarioSet, policy_kind: str,
@@ -190,10 +204,11 @@ def train(case: GridCase, scenarios: ScenarioSet, policy_kind: str,
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         batch = sampler.next_batch()
-        grad, loss, n_failed = _batch_pass(case, policy, batch, c_delta,
-                                           config.loss_cuts, config.solver_tol,
-                                           config.workers)
+        grad, loss, n_failed, n_clipped = _batch_pass(case, policy, batch, c_delta,
+                                                      config.loss_cuts, config.solver_tol,
+                                                      config.workers)
         report.solver_failures += n_failed
+        report.clipped_targets += n_clipped
         if n_failed > config.max_failed_frac * len(batch):
             raise TrainingError(
                 f"epoch {epoch}: {n_failed}/{len(batch)} solves failed "
@@ -226,6 +241,7 @@ def train(case: GridCase, scenarios: ScenarioSet, policy_kind: str,
                      epoch, config.patience)
             break
 
+    report.adam_skipped = state.skipped
     report.wall_clock = time.perf_counter() - t_start
     if config.n_val > 0:
         final = policy.with_vector(best_vec)
@@ -303,13 +319,13 @@ def gradcheck(case: GridCase, path, params, n_coords: int = 20, eps: float = 1e-
         # region change.  Noise is ~1e-8 of the dual scale at solver_tol.
         kink_tol = max(1e-4, 1e-6 * c_delta)
     policy = Policy(params)
-    targets, tape = policy.rollout_with_tape(path)
-    prob = build_second_stage(case, path, targets, c_delta, loss_cuts)
+    targets, tape = policy.rollout_with_tape([path])
+    prob = build_second_stage(case, path, targets[0], c_delta, loss_cuts)
     res = ipm.solve(prob.lp, tol=solver_tol)
     if not res.optimal:
         raise TrainingError(f"gradcheck base solve failed: {res.status}")
     lam = extract_duals(prob, res).lam
-    g = policy.gradient(path, tape, lam)
+    g = policy.gradient(tape, lam[None])
     vec = policy.vector()
 
     rng = np.random.default_rng(seed)

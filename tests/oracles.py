@@ -2,7 +2,8 @@
 
 Nothing in here reuses the solution paths it is meant to check: vertex
 enumeration brute-forces small LPs, the grid DP values a 1-hydro problem
-by backward induction on a volume grid, and the random instance factory
+by backward induction on a volume grid, the per-path policy passes replay
+one path at a time with vector operations, and the random instance factory
 builds small feasible hydrothermal cases from scratch.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import expit
 
 from hydrodr.model import Branch, Bus, Generator, GridCase, HydroUnit, validate_case
 from hydrodr.scenarios import LatticeStage, ScenarioPath, ScenarioSet
@@ -190,3 +192,98 @@ def lattice_for(case: GridCase, rng: np.random.Generator, n_points: int = 3) -> 
         probs = rng.uniform(0.5, 1.5, size=n_points)
         stages.append(LatticeStage(values=levels, probs=probs / probs.sum()))
     return ScenarioSet.lattice(stages)
+
+
+# -- per-path policy passes (reference for the batched ones) -------------------
+
+def ddr_forward_path(params, inflows: np.ndarray):
+    """Roll the recurrent rule along one (T, H) inflow path, one stage and
+    one vector at a time.  Returns (targets, tape) for
+    :func:`ddr_backward_path`."""
+    spec = params.spec
+    H = spec.n_hydros
+    tape = {"inputs": [], "hidden": [], "head_x_pre": [], "latents": []}
+    lat = np.zeros(spec.latent_dim)
+    targets = np.zeros(inflows.shape)
+    for t in range(inflows.shape[0]):
+        head = np.zeros(2 * H + 1)
+        if t == 0:
+            head[H:2 * H] = np.asarray(spec.x0) / np.asarray(spec.x0_scale)
+            head[2 * H] = 1.0
+        else:
+            head[:H] = inflows[t] / np.asarray(spec.w_scale)
+        a = np.concatenate([head, lat])
+        acts = []
+        z = a
+        for w, b in zip(params.w, params.b):
+            z = np.tanh(w @ z + b)
+            acts.append(z)
+        hx = params.w_x @ z + params.b_x
+        lat = np.tanh(params.w_l @ z + params.b_l)
+        targets[t] = _squash(spec, hx)
+        tape["inputs"].append(a)
+        tape["hidden"].append(acts)
+        tape["head_x_pre"].append(hx)
+        tape["latents"].append(lat)
+    return targets, tape
+
+
+def ddr_backward_path(params, tape, lam: np.ndarray) -> list[np.ndarray]:
+    """Gradient arrays (in ``params.arrays()`` order) of sum_t lam_t .
+    targets_t for one path, by outer products stage by stage."""
+    spec = params.spec
+    g_w = [np.zeros_like(w) for w in params.w]
+    g_b = [np.zeros_like(b) for b in params.b]
+    g_wx, g_bx = np.zeros_like(params.w_x), np.zeros_like(params.b_x)
+    g_wl, g_bl = np.zeros_like(params.w_l), np.zeros_like(params.b_l)
+    g_lat = np.zeros(spec.latent_dim)
+    for t in range(len(tape["inputs"]) - 1, -1, -1):
+        z_last = tape["hidden"][t][-1]
+        gh_x = lam[t] * _squash_grad(spec, tape["head_x_pre"][t])
+        gh_l = g_lat * (1.0 - tape["latents"][t] ** 2)
+        g_wx += np.outer(gh_x, z_last)
+        g_bx += gh_x
+        g_wl += np.outer(gh_l, z_last)
+        g_bl += gh_l
+        g_z = params.w_x.T @ gh_x + params.w_l.T @ gh_l
+        for k in range(len(params.w) - 1, -1, -1):
+            z_in = tape["hidden"][t][k - 1] if k > 0 else tape["inputs"][t]
+            g_pre = g_z * (1.0 - tape["hidden"][t][k] ** 2)
+            g_w[k] += np.outer(g_pre, z_in)
+            g_b[k] += g_pre
+            g_z = params.w[k].T @ g_pre
+        g_lat = g_z[2 * spec.n_hydros + 1:]
+    return [*g_w, *g_b, g_wx, g_bx, g_wl, g_bl]
+
+
+def _squash(spec, pre):
+    if not spec.squash:
+        return pre.copy()
+    lo, hi = np.asarray(spec.vmin), np.asarray(spec.vmax)
+    return lo + (hi - lo) * expit(pre)
+
+
+def _squash_grad(spec, pre):
+    if not spec.squash:
+        return np.ones_like(pre)
+    lo, hi = np.asarray(spec.vmin), np.asarray(spec.vmax)
+    s = expit(pre)
+    return (hi - lo) * s * (1.0 - s)
+
+
+def _history_stack(spec, inflows: np.ndarray, t: int) -> np.ndarray:
+    """[w_2, ..., w_t, x0] for stage index t (0-based): t inflow blocks."""
+    return np.concatenate([inflows[s] for s in range(1, t + 1)] + [np.asarray(spec.x0)])
+
+
+def ldr_forward_path(params, inflows: np.ndarray) -> np.ndarray:
+    """The linear rule on one (T, H) path, one stage at a time."""
+    spec = params.spec
+    return np.stack([params.theta[t] @ _history_stack(spec, inflows, t)
+                     for t in range(spec.horizon)])
+
+
+def ldr_backward_path(params, inflows: np.ndarray, lam: np.ndarray) -> list[np.ndarray]:
+    """Per-stage gradients lam_t (outer) history_t for one path."""
+    return [np.outer(lam[t], _history_stack(params.spec, inflows, t))
+            for t in range(params.spec.horizon)]

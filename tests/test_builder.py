@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydrodr import ipm
-from hydrodr.builder import (DEFAULT_LOSS_CUTS, build_extensive, build_second_stage,
+from hydrodr.builder import (DEFAULT_LOSS_CUTS, StageBlock, build_extensive, build_second_stage,
                              dcll_loss_cuts, default_deviation_penalty, deviation_l1,
                              evaluate_policy_cost, extract_duals, loss_cut_points)
 from hydrodr.model import Branch, Bus, Generator, GridCase, HydroUnit, load_case, bundled_case_path
@@ -352,7 +352,8 @@ def test_extensive_stage_block_matches_sddp_stage_lp():
     t = T // 2
     path = random_path(case, np.random.default_rng(3))
     ext, vm = build_extensive(case, path)
-    stage, cols = _stage_lp(case, t, case.v0(), path.inflows[t], [], DEFAULT_LOSS_CUTS)
+    stage, cols = _stage_lp(case, t, case.v0(), path.inflows[t], [],
+                            StageBlock(case, DEFAULT_LOSS_CUTS))
     n, m, mi = ext.n_vars // T, ext.n_eq // T, ext.n_in // T
     assert cols["vin"].tolist() == list(range(H))
     assert cols["phi"].tolist() == [H + n]
@@ -381,6 +382,9 @@ class _HoldPolicy:
     def rollout(self, path):
         return self.targets
 
+    def rollout_with_tape(self, paths):
+        return np.stack([self.rollout(p) for p in paths]), None
+
 
 class _VolumePolicy:
     def __init__(self, targets):
@@ -388,6 +392,9 @@ class _VolumePolicy:
 
     def rollout(self, path):
         return self.targets
+
+    def rollout_with_tape(self, paths):
+        return np.stack([self.rollout(p) for p in paths]), None
 
 
 def test_evaluate_policy_cost_deterministic_optimum(tiny_case):

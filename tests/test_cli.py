@@ -55,6 +55,9 @@ def test_train_writes_artifacts(workdir):
     rep = json.loads((out / "eval_report.json").read_text())
     assert rep["model"] == "ts-ddr" and rep["plan"] == "dcll"
     assert rep["n_test"] == 4
+    train_rep = json.loads((out / "train_report.json").read_text())
+    assert train_rep["adam_skipped"] == 0
+    assert train_rep["clipped_targets"] == 0      # squashed targets stay in range
 
 
 def test_train_rerun_is_deterministic(workdir, tmp_path):

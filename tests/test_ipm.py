@@ -293,7 +293,7 @@ def _same_bits(u, v):
 
 
 def _setup_instances():
-    from hydrodr.builder import build_extensive, build_second_stage
+    from hydrodr.builder import StageBlock, build_extensive, build_second_stage
     from hydrodr.sddp import Cut, _stage_lp
     from hydrodr.scenarios import make_lattice
     from conftest import build_cascade_case
@@ -310,7 +310,7 @@ def _setup_instances():
     cuts = [Cut(stage=0, intercept=20.0 * k, slope=np.array([-2.0 * k, -1.0 - k]))
             for k in range(1, 4)]
     lp, _ = _stage_lp(case, 0, case.v0(), make_lattice(case, 2).stages[0].values[0],
-                      cuts, 11)
+                      cuts, StageBlock(case, 11))
     assert lp.n_in >= len(cuts)
     yield lp
     # a stored zero, which the scaled matrix drops

@@ -11,6 +11,7 @@ from hydrodr.policy import (Policy, PolicySpec, ddr_backward,
 from hydrodr.scenarios import ScenarioPath, sample_paths, make_lattice
 
 from conftest import build_cascade_case
+from oracles import ddr_backward_path, ddr_forward_path, ldr_backward_path, ldr_forward_path
 
 
 def ddr_spec(n_hydros=2, latent=6, layers=2, squash=True):
@@ -28,10 +29,15 @@ def rand_path(T, H, seed=0):
     return ScenarioPath(inflows=rng.uniform(0, 4, size=(T, H)), source_id=("p", seed))
 
 
+def one(path):
+    """A single path as a batch of one."""
+    return path.inflows[None]
+
+
 def test_zero_network_emits_midpoints():
     spec = ddr_spec()
     params = unpack_like(init_params(spec, 0), np.zeros(pack(init_params(spec, 0)).size))
-    targets, _ = ddr_forward(params, rand_path(5, 2))
+    targets, _ = ddr_forward(params, one(rand_path(5, 2)))
     mid = (np.array(spec.vmin) + np.array(spec.vmax)) / 2
     assert np.allclose(targets, mid)
 
@@ -39,9 +45,9 @@ def test_zero_network_emits_midpoints():
 def test_longer_horizon_rollout_same_params():
     spec = ddr_spec()
     params = init_params(spec, 1)
-    t1, _ = ddr_forward(params, rand_path(5, 2))
-    t2, _ = ddr_forward(params, rand_path(10, 2))
-    assert t1.shape == (5, 2) and t2.shape == (10, 2)
+    t1, _ = ddr_forward(params, one(rand_path(5, 2)))
+    t2, _ = ddr_forward(params, one(rand_path(10, 2)))
+    assert t1.shape == (1, 5, 2) and t2.shape == (1, 10, 2)
     assert np.all(t2 >= spec.vmin) and np.all(t2 <= spec.vmax)
 
 
@@ -49,30 +55,31 @@ def test_recurrence_causality():
     spec = ddr_spec()
     params = init_params(spec, 2)
     path = rand_path(6, 2, seed=3)
-    base, _ = ddr_forward(params, path)
+    base, _ = ddr_forward(params, one(path))
     bumped = ScenarioPath(inflows=path.inflows.copy(), source_id=("b",))
     bumped.inflows[4, 1] += 1.0
-    after, _ = ddr_forward(params, bumped)
-    assert np.array_equal(base[:4], after[:4])
-    assert not np.allclose(base[4:], after[4:])
+    after, _ = ddr_forward(params, one(bumped))
+    assert np.array_equal(base[0, :4], after[0, :4])
+    assert not np.allclose(base[0, 4:], after[0, 4:])
 
 
 def test_tape_replay_bit_identical():
     spec = ddr_spec()
     params = init_params(spec, 4)
     path = rand_path(5, 2, seed=9)
-    t1, tape1 = ddr_forward(params, path)
-    t2, tape2 = ddr_forward(params, path)
+    t1, tape1 = ddr_forward(params, one(path))
+    t2, tape2 = ddr_forward(params, one(path))
     assert np.array_equal(t1, t2)
-    for a, b in zip(tape1.latents, tape2.latents):
+    assert np.array_equal(tape1.inputs, tape2.inputs)
+    for a, b in zip(tape1.hidden, tape2.hidden):
         assert np.array_equal(a, b)
 
 
 def test_backward_zero_cotangent_zero_gradient():
     spec = ddr_spec()
     params = init_params(spec, 5)
-    _, tape = ddr_forward(params, rand_path(5, 2))
-    grad = ddr_backward(params, tape, np.zeros((5, 2)))
+    _, tape = ddr_forward(params, one(rand_path(5, 2)))
+    grad = ddr_backward(params, tape, np.zeros((1, 5, 2)))
     assert np.all(pack(grad) == 0.0)
 
 
@@ -88,8 +95,8 @@ def test_backward_hand_computed_single_stage():
     params.w_x[:] = 0.7
     params.b_x[:] = -0.2
     path = ScenarioPath(inflows=np.array([[2.0]]), source_id=("h",))
-    targets, tape = ddr_forward(params, path)
-    lam = np.array([[2.5]])
+    targets, tape = ddr_forward(params, one(path))
+    lam = np.array([[[2.5]]])
     grad = ddr_backward(params, tape, lam)
 
     a = np.array([0.0, 4.0 / 8.0, 1.0, 0.0])        # [w; x0; flag; latent0]
@@ -97,7 +104,7 @@ def test_backward_hand_computed_single_stage():
     pre = params.w_x @ z + params.b_x
     s = expit(pre)
     d_squash = 8.0 * s * (1 - s)
-    assert targets[0, 0] == pytest.approx(0.0 + 8.0 * s[0])
+    assert targets[0, 0, 0] == pytest.approx(0.0 + 8.0 * s[0])
     assert grad.b_x[0] == pytest.approx(2.5 * d_squash[0])
     assert grad.w_x[0, 0] == pytest.approx(2.5 * d_squash[0] * z[0])
     g_z = params.w_x[0, 0] * 2.5 * d_squash[0]
@@ -112,13 +119,13 @@ def test_ddr_gradient_matches_finite_differences(squash):
     params = init_params(spec, 7)
     path = rand_path(5, 2, seed=11)
     rng = np.random.default_rng(13)
-    lam = rng.normal(size=(5, 2))
-    _, tape = ddr_forward(params, path)
+    lam = rng.normal(size=(1, 5, 2))
+    _, tape = ddr_forward(params, one(path))
     grad = pack(ddr_backward(params, tape, lam))
     vec = pack(params)
 
     def loss(v):
-        t, _ = ddr_forward(unpack_like(params, v), path)
+        t, _ = ddr_forward(unpack_like(params, v), one(path))
         return float(np.sum(lam * t))
 
     for i in rng.choice(vec.size, size=30, replace=False):
@@ -136,7 +143,7 @@ def test_ldr_zero_params_zero_targets():
                       x0_scale=(1.0,) * 2)
     params = init_params(spec, 0)
     zero = unpack_like(params, np.zeros(pack(params).size))
-    assert np.all(ldr_forward(zero, rand_path(4, 2)) == 0.0)
+    assert np.all(ldr_forward(zero, one(rand_path(4, 2)))[0] == 0.0)
 
 
 def test_ldr_identity_rule_holds_x0():
@@ -144,8 +151,8 @@ def test_ldr_identity_rule_holds_x0():
                       vmax=(10.0,) * 2, x0=(5.0, 4.0), w_scale=(1.0,) * 2,
                       x0_scale=(1.0,) * 2)
     params = init_params(spec, 0)     # identity on the x0 block
-    targets = ldr_forward(params, rand_path(4, 2, seed=2))
-    assert np.allclose(targets, np.tile([5.0, 4.0], (4, 1)))
+    targets, _ = ldr_forward(params, one(rand_path(4, 2, seed=2)))
+    assert np.allclose(targets[0], np.tile([5.0, 4.0], (4, 1)))
     # column counts grow with the stacked history: stage t has t*H columns
     for t, th in enumerate(params.theta):
         assert th.shape == (2, (t + 1) * 2)
@@ -158,18 +165,19 @@ def test_ldr_gradient_outer_product_and_fd():
     params = init_params(spec, 0)
     path = rand_path(4, 2, seed=5)
     rng = np.random.default_rng(6)
-    lam = rng.normal(size=(4, 2))
-    grad = ldr_backward(params, path, None, lam)
+    lam = rng.normal(size=(1, 4, 2))
+    _, tape = ldr_forward(params, one(path))
+    grad = ldr_backward(params, tape, lam)
     # outer-product structure: stage t block is lam_t x history_t
     hist1 = np.concatenate([path.inflows[1], [5.0, 4.0]])
-    assert np.allclose(grad.theta[1], np.outer(lam[1], hist1))
-    assert np.all(pack(ldr_backward(params, path, None, np.zeros((4, 2)))) == 0.0)
+    assert np.allclose(grad.theta[1], np.outer(lam[0, 1], hist1))
+    assert np.all(pack(ldr_backward(params, tape, np.zeros((1, 4, 2)))) == 0.0)
 
     vec = pack(params)
     gvec = pack(grad)
 
     def loss(v):
-        return float(np.sum(lam * ldr_forward(unpack_like(params, v), path)))
+        return float(np.sum(lam * ldr_forward(unpack_like(params, v), one(path))[0]))
 
     for i in rng.choice(vec.size, size=20, replace=False):
         fd = (loss(vec + 0.5 * np.eye(vec.size)[i]) - loss(vec - 0.5 * np.eye(vec.size)[i]))
@@ -192,7 +200,7 @@ def test_init_targets_strictly_inside_bounds():
     params = init_params(spec, 3)
     lat = make_lattice(case, 3)
     for path in sample_paths(lat, 100, seed=8):
-        targets, _ = ddr_forward(params, path)
+        targets, _ = ddr_forward(params, one(path))
         assert np.all(targets > np.array(spec.vmin))
         assert np.all(targets < np.array(spec.vmax))
 
@@ -231,9 +239,81 @@ def test_dimension_mismatch_raises():
     spec = ddr_spec()
     params = init_params(spec, 0)
     with pytest.raises(ValueError):
-        ddr_forward(params, rand_path(5, 3))
-    _, tape = ddr_forward(params, rand_path(5, 2))
+        ddr_forward(params, one(rand_path(5, 3)))
+    _, tape = ddr_forward(params, one(rand_path(5, 2)))
     with pytest.raises(ValueError):
-        ddr_backward(params, tape, np.zeros((5, 3)))
+        ddr_backward(params, tape, np.zeros((1, 5, 3)))
+    with pytest.raises(ValueError):
+        ddr_backward(params, tape, np.zeros((5, 2)))
     with pytest.raises(ValueError):
         unpack_like(params, np.zeros(3))
+
+
+def _batch(B, T, H, seed):
+    rng = np.random.default_rng(seed)
+    return [ScenarioPath(inflows=rng.uniform(0, 4, size=(T, H)), source_id=("p", b))
+            for b in range(B)]
+
+
+def _assert_close(batched, reference):
+    # summation order differs from the per-path reference, so equality is
+    # to 1e-12 relative, measured against the array's own scale
+    np.testing.assert_allclose(batched, reference, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("B", [1, 3, 32])
+@pytest.mark.parametrize("layers,squash", [(1, True), (2, True), (1, False), (2, False)])
+def test_ddr_batch_matches_per_path_reference(B, layers, squash):
+    params = init_params(ddr_spec(layers=layers, squash=squash), seed=B + layers)
+    paths = _batch(B, 5, 2, seed=B)
+    lam = np.random.default_rng(B + 100).normal(size=(B, 5, 2)) * 1e3
+    pol = Policy(params)
+    targets, tape = pol.rollout_with_tape(paths)
+    refs = [ddr_forward_path(params, p.inflows) for p in paths]
+    _assert_close(targets, np.stack([t for t, _ in refs]))
+    grad_ref = np.sum([np.concatenate([g.ravel() for g in ddr_backward_path(params, tp, l)])
+                       for (_, tp), l in zip(refs, lam)], axis=0)
+    _assert_close(pol.gradient(tape, lam), grad_ref)
+    _assert_close(pol.rollout(paths[-1]), refs[-1][0])
+
+
+@pytest.mark.parametrize("B", [1, 3, 32])
+def test_ldr_batch_matches_per_path_reference(B):
+    spec = PolicySpec(kind="ts-ldr", n_hydros=2, horizon=4, vmin=(0.0,) * 2,
+                      vmax=(10.0,) * 2, x0=(5.0, 4.0), w_scale=(1.0,) * 2,
+                      x0_scale=(1.0,) * 2)
+    template = init_params(spec, 0)
+    rng = np.random.default_rng(B)
+    params = unpack_like(template, rng.normal(size=pack(template).size))
+    paths = _batch(B, 4, 2, seed=B)
+    lam = rng.normal(size=(B, 4, 2)) * 1e3
+    pol = Policy(params)
+    targets, tape = pol.rollout_with_tape(paths)
+    _assert_close(targets, np.stack([ldr_forward_path(params, p.inflows) for p in paths]))
+    grad_ref = np.sum([np.concatenate([g.ravel() for g in ldr_backward_path(params, p.inflows, l)])
+                       for p, l in zip(paths, lam)], axis=0)
+    _assert_close(pol.gradient(tape, lam), grad_ref)
+
+
+@pytest.mark.parametrize("kind", ["ts-ddr", "ts-ldr"])
+@pytest.mark.parametrize("row", [0, 2, 3])
+def test_zero_cotangent_row_adds_nothing(kind, row):
+    """A failed path's zero row leaves the batch gradient exactly what the
+    batch without that path gives."""
+    case = build_cascade_case(horizon=6)
+    pol = Policy(init_params(spec_for_case(case, kind, latent_dim=8), 3))
+    paths = sample_paths(make_lattice(case, 3), 4, seed=1)
+    lam = np.random.default_rng(0).normal(size=(4, 6, 2)) * 1e3
+    _, tape = pol.rollout_with_tape(paths)
+    assert np.all(pol.gradient(tape, np.zeros_like(lam)) == 0.0)
+    keep = [i for i in range(4) if i != row]
+    _, tape_kept = pol.rollout_with_tape([paths[i] for i in keep])
+    lam_zeroed = lam.copy()
+    lam_zeroed[row] = 0.0
+    assert np.array_equal(pol.gradient(tape, lam_zeroed), pol.gradient(tape_kept, lam[keep]))
+
+
+def test_deep_rule_needs_a_hidden_layer():
+    with pytest.raises(ValueError, match="hidden layer"):
+        init_params(ddr_spec(layers=0), 0)

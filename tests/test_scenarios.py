@@ -60,6 +60,33 @@ def test_sampling_determinism_under_seed():
     assert any(not np.array_equal(x.inflows, y.inflows) for x, y in zip(a, c))
 
 
+def test_lattice_draw_matches_per_path_choice_loop():
+    """The vectorized draw takes the stream of ``rng.choice`` called path
+    by path and stage by stage: same paths, same source ids, same
+    generator state afterwards."""
+    rng = np.random.default_rng(3)
+    stages = [LatticeStage(values=np.array([[5.0, 2.0]]), probs=np.array([1.0]))]
+    for _ in range(5):
+        probs = rng.uniform(0.1, 2.0, size=4)
+        stages.append(LatticeStage(values=rng.uniform(0.0, 9.0, size=(4, 2)),
+                                   probs=probs / probs.sum()))
+    sset = ScenarioSet.lattice(stages)
+
+    reference = np.random.default_rng(11)
+    expected = []
+    for _ in range(50):
+        idx = tuple(int(reference.choice(st.probs.size, p=st.probs)) for st in stages)
+        expected.append((np.stack([st.values[i] for st, i in zip(stages, idx)]),
+                         ("lattice",) + idx))
+    sampler = BatchSampler(sset, 50, np.random.SeedSequence(0))
+    sampler.rng = np.random.default_rng(11)
+    paths = sampler.next_batch()
+    for path, (inflows, source_id) in zip(paths, expected, strict=True):
+        assert np.array_equal(path.inflows, inflows)
+        assert path.source_id == source_id
+    assert sampler.rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError):
         sample_paths(three_point_lattice(T=3), 0, seed=0)

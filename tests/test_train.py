@@ -8,7 +8,7 @@ from hydrodr.builder import build_second_stage, default_deviation_penalty, extra
 from hydrodr.policy import init_params, pack, spec_for_case
 from hydrodr.scenarios import make_lattice, sample_paths, split
 from hydrodr.train import (AdamState, GradcheckReport, TrainConfig, TrainingError,
-                           adam_step, gradcheck, train, validate)
+                           _batch_pass, adam_step, gradcheck, train, validate)
 
 from conftest import build_cascade_case, build_tiny_case
 
@@ -227,9 +227,9 @@ def test_rejected_duals_count_as_failed_solve(monkeypatch):
     c_delta = default_deviation_penalty(case)
     grads = []
     for path in paths:
-        targets, tape = policy.rollout_with_tape(path)
-        prob, res = train_mod.solve_second_stage(case, path, targets, c_delta)
-        grads.append(policy.gradient(path, tape, extract_duals(prob, res).lam))
+        targets, tape = policy.rollout_with_tape([path])
+        prob, res = train_mod.solve_second_stage(case, path, targets[0], c_delta)
+        grads.append(policy.gradient(tape, extract_duals(prob, res).lam[None]))
 
     calls = {"n": 0}
 
@@ -240,12 +240,56 @@ def test_rejected_duals_count_as_failed_solve(monkeypatch):
         return extract_duals(prob, res)
 
     monkeypatch.setattr(train_mod, "extract_duals", reject_second)
-    grad, loss, n_failed = train_mod._batch_pass(case, policy, paths, c_delta,
-                                                 loss_cuts=11, tol=1e-8)
+    grad, loss, n_failed, _ = train_mod._batch_pass(case, policy, paths, c_delta,
+                                                    loss_cuts=11, tol=1e-8)
     assert n_failed == 1
     assert np.isfinite(loss)
     np.testing.assert_allclose(grad, np.mean([grads[0], grads[2], grads[3]], axis=0),
                                rtol=1e-12, atol=0.0)
+
+
+class _FixedTargets:
+    """Rolls every path out to the same fixed targets; zero gradient."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def rollout_with_tape(self, paths):
+        return np.stack([self.targets] * len(paths)), None
+
+    def gradient(self, tape, lam):
+        return np.zeros(1)
+
+
+def test_batch_pass_counts_clipped_targets():
+    case = build_tiny_case(horizon=3)
+    paths = sample_paths(make_lattice(case, 2), 3, seed=0)
+    targets = np.tile(case.v0(), (3, 1))
+    targets[0, 0] = -1.0                       # below zero
+    targets[2, 0] = 10.0 * case.vmax()[0]      # above 1.5 vmax
+    _, loss, n_failed, n_clipped = _batch_pass(case, _FixedTargets(targets), paths,
+                                               default_deviation_penalty(case),
+                                               loss_cuts=11, tol=1e-8)
+    assert n_failed == 0 and np.isfinite(loss)
+    assert n_clipped == 2 * len(paths)
+
+
+def test_report_counts_skipped_adam_steps_and_clipped_targets(monkeypatch):
+    from hydrodr import train as train_mod
+    real = train_mod._batch_pass
+    calls = {"n": 0}
+
+    def nan_second(*args, **kw):
+        grad, loss, n_failed, _ = real(*args, **kw)
+        calls["n"] += 1
+        return (grad * np.nan if calls["n"] == 2 else grad), loss, n_failed, 5
+
+    monkeypatch.setattr(train_mod, "_batch_pass", nan_second)
+    case = build_tiny_case(horizon=3)
+    _, report = train(case, make_lattice(case, 2), "ts-ddr",
+                      small_config(epochs=3, n_val=0))
+    assert report.adam_skipped == 1
+    assert report.clipped_targets == 15
 
 
 def test_gradcheck_linear_rule_near_exact():
