@@ -26,12 +26,14 @@ diagonal and couple each water row to the previous stage's volumes; the
 SDDP stage LP puts volume-fixing rows and columns in front of one block
 and an epigraph column with its cut rows after it.
 
-Training and evaluation solve the second-stage LP through
-:func:`solve_second_stage`: one persistent HiGHS model per case, deviation
-penalty, loss-cut count and tolerance (:mod:`hydrodr.highs`), built once
-and patched per path on its water rows and target rows only.
-:func:`build_second_stage` assembles the same LP from scratch for the
-interior-point oracle.
+Training and evaluation solve the second-stage LPs of a whole batch of
+paths through :func:`solve_second_stage_batch`: one persistent HiGHS model
+per case, deviation penalty, loss-cut count and tolerance
+(:mod:`hydrodr.highs`), built once and patched per path on its water rows
+and target rows only.  Clipping, the right-hand sides, the KKT recheck and
+the target-dual read-out run once per batch; :func:`solve_second_stage`
+is the batch of one.  :func:`build_second_stage` assembles the same LP
+from scratch for the interior-point oracle.
 """
 
 from __future__ import annotations
@@ -269,32 +271,75 @@ def build_second_stage(case: GridCase, path: ScenarioPath, targets,
     problem is feasible for any finite target matrix because the deviation
     split absorbs whatever the water balance cannot deliver.
     """
-    clipped = _clip_targets(case, targets, c_delta)
+    _check_penalty(case, c_delta)
+    clipped = _clip_targets(np.asarray(targets, dtype=float)[None],
+                            (1, case.horizon, case.n_hydros),
+                            TARGET_CLIP_FACTOR * case.vmax())[0]
     lp, var_map, target_rows = _horizon_lp(case, path, loss_cuts, clipped, c_delta)
     lpdump.maybe_dump(lp, "second_stage")
     return MultiPeriodProblem(lp=lp, target_rows=target_rows, var_map=var_map,
                               c_delta=c_delta, targets=clipped)
 
 
-def _clip_targets(case: GridCase, targets, c_delta: float) -> np.ndarray:
-    """Validate the penalty and the (horizon, n_hydros) targets; return the
-    targets clipped into [0, 1.5 * vmax]."""
+def _check_penalty(case: GridCase, c_delta: float) -> None:
+    """Reject a nonpositive deviation penalty; warn when it is below the
+    maximum marginal cost."""
     if c_delta <= 0:
         raise ValueError("deviation penalty must be positive")
-    T, H = case.horizon, case.n_hydros
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (T, H):
-        raise ValueError(f"targets must be ({T}, {H}), got {targets.shape}")
     if c_delta <= case.max_marginal_cost():
         log.warning("deviation penalty %.3g is below the maximum marginal cost; "
                     "targets may distort the dispatch", c_delta)
 
-    hi = TARGET_CLIP_FACTOR * case.vmax()
-    clipped = np.clip(targets, 0.0, hi[None, :])
+
+def _clip_targets(targets: np.ndarray, shape: tuple, hi: np.ndarray) -> np.ndarray:
+    """Validate a (B, horizon, n_hydros) target stack against ``shape``;
+    return it clipped into [0, hi]."""
+    if targets.shape != shape:
+        raise ValueError(f"targets must be {shape}, got {targets.shape}")
+    clipped = np.clip(targets, 0.0, hi)
     n_clip = int(np.sum(clipped != targets))
     if n_clip:
         log.debug("clipped %d target entries into [0, %s]", n_clip, hi)
     return clipped
+
+
+def _target_duals(y_eq: np.ndarray, target_rows: np.ndarray,
+                  c_delta: float) -> tuple[np.ndarray, list]:
+    """Target-row duals of a (B, n_eq) stack of equality duals, as
+    (B, T, n_hydros), and per path None or why its duals are rejected: a
+    non-finite dual, or one above the deviation penalty."""
+    lam = y_eq[:, target_rows]
+    finite = np.all(np.isfinite(lam), axis=(1, 2))
+    peak = np.max(np.abs(lam), axis=(1, 2))
+    bound = c_delta * (1.0 + 1e-6) + 1e-9
+    reasons = [None if ok and p <= bound
+               else "non-finite dual in target rows" if not ok
+               else f"target dual {p:.6g} exceeds the deviation penalty {c_delta:.6g}"
+               for ok, p in zip(finite, peak)]
+    return lam, reasons
+
+
+@dataclass
+class SecondStageBatch:
+    """The second-stage solves of B paths on one persistent model."""
+    solution: highs.BatchSolution
+    targets: np.ndarray              # (B, T, n_hydros) effective (clipped) targets
+    target_rows: np.ndarray          # (T, n_hydros) equality-row indices
+    var_map: dict[str, np.ndarray]   # name -> (T, count) column indices
+    c_delta: float
+
+    def problem(self, i: int) -> MultiPeriodProblem:
+        return MultiPeriodProblem(lp=self.solution.instance(i), target_rows=self.target_rows,
+                                  var_map=self.var_map, c_delta=self.c_delta,
+                                  targets=self.targets[i])
+
+    def duals(self) -> tuple[np.ndarray, list]:
+        """(lam, rejected): the (B, T, n_hydros) target duals, zero on
+        every path that did not end optimal or whose duals are rejected,
+        and per path None or the reason its duals are rejected."""
+        lam, reasons = _target_duals(self.solution.y_eq, self.target_rows, self.c_delta)
+        lam[~self.solution.optimal | np.array([r is not None for r in reasons])] = 0.0
+        return lam, reasons
 
 
 class _SecondStageModel:
@@ -304,12 +349,15 @@ class _SecondStageModel:
     depends on the case alone: the base lattice inflow
     (:func:`hydrodr.scenarios.base_inflow`) at every stage and the initial
     volumes as targets.  A path changes only the water rows (its inflows,
-    plus the initial volumes at stage 0) and the target rows.
+    plus the initial volumes at stage 0) and the target rows.  The clip
+    bound is computed, and the penalty checked, once per model.
     """
 
     def __init__(self, case: GridCase, loss_cuts: int, c_delta: float, tol: float):
         T, H = case.horizon, case.n_hydros
+        _check_penalty(case, c_delta)
         self.case, self.c_delta = case, c_delta
+        self.clip_hi = TARGET_CLIP_FACTOR * case.vmax()
         template = ScenarioPath(np.tile(base_inflow(case), (T, 1)), source_id=("template",))
         lp, self.var_map, self.target_rows = _horizon_lp(
             case, template, loss_cuts, np.tile(case.v0(), (T, 1)), c_delta)
@@ -318,33 +366,59 @@ class _SecondStageModel:
         self._rows = np.concatenate([water, self.target_rows.ravel()])
         self._model = highs.PersistentLP(lp, tol)
 
-    def solve(self, path: ScenarioPath, clipped: np.ndarray):
+    def solve_batch(self, paths, targets, workers: int = 1) -> SecondStageBatch:
         T, H = self.case.horizon, self.case.n_hydros
-        if path.inflows.shape != (T, H):
-            raise ValueError(f"inflows must be {(T, H)}, got {path.inflows.shape}")
-        water = path.inflows.copy()
-        water[0] += self.case.v0()
-        lp, res = self._model.solve(self._rows, np.concatenate([water.ravel(), clipped.ravel()]))
-        prob = MultiPeriodProblem(lp=lp, target_rows=self.target_rows, var_map=self.var_map,
-                                  c_delta=self.c_delta, targets=clipped)
-        return prob, res
+        clipped = _clip_targets(np.asarray(targets, dtype=float), (len(paths), T, H),
+                                self.clip_hi)
+        for path in paths:
+            if path.inflows.shape != (T, H):
+                raise ValueError(f"inflows must be {(T, H)}, got {path.inflows.shape}")
+        water = np.array([path.inflows for path in paths], dtype=float).reshape(-1, T, H)
+        water[:, 0] += self.case.v0()
+        values = np.concatenate([water.reshape(len(paths), -1),
+                                 clipped.reshape(len(paths), -1)], axis=1)
+        solution = self._model.solve_batch(self._rows, values, workers)
+        return SecondStageBatch(solution=solution, targets=clipped,
+                                target_rows=self.target_rows, var_map=self.var_map,
+                                c_delta=self.c_delta)
+
+    def solve(self, path: ScenarioPath, targets) -> tuple[MultiPeriodProblem, SolveResult]:
+        """One path's (problem, result): the batch of one."""
+        batch = self.solve_batch([path], np.asarray(targets, dtype=float)[None])
+        return batch.problem(0), batch.solution.result(0)
 
 
 _MODELS = highs.ModelPool()
 
 
+def _checkout(case: GridCase, loss_cuts: int, c_delta: float, tol: float):
+    """Lend the case's second-stage model (built on first use) to one caller."""
+    return _MODELS.checkout((case, loss_cuts, c_delta, tol),
+                            lambda: _SecondStageModel(case, loss_cuts, c_delta, tol))
+
+
+def solve_second_stage_batch(case: GridCase, paths, targets, c_delta: float,
+                             loss_cuts: int = DEFAULT_LOSS_CUTS, tol: float = 1e-8,
+                             workers: int = 1) -> SecondStageBatch:
+    """Solve the second-stage LPs of ``paths`` (the LP of
+    :func:`build_second_stage`, same targets clipping) at the (B, T,
+    n_hydros) ``targets`` stack, by HiGHS dual simplex on the case's
+    persistent model.  Only the per-path HiGHS runs use ``workers``
+    threads; results do not depend on their number."""
+    with _checkout(case, loss_cuts, c_delta, tol) as m:
+        return m.solve_batch(paths, targets, workers)
+
+
 def solve_second_stage(case: GridCase, path: ScenarioPath, targets, c_delta: float,
                        loss_cuts: int = DEFAULT_LOSS_CUTS,
                        tol: float = 1e-8) -> tuple[MultiPeriodProblem, SolveResult]:
-    """Solve one path's second-stage LP (the LP of :func:`build_second_stage`,
-    same targets clipping) by HiGHS dual simplex on the case's persistent
-    model.  Returns (problem, result); ``problem.lp`` carries the path's
-    right-hand side, and ``result`` reads like :func:`hydrodr.ipm.solve`'s.
+    """One path's second-stage solve: :func:`solve_second_stage_batch` on
+    a batch of one.  Returns (problem, result); ``problem.lp`` carries the
+    path's right-hand side, and ``result`` reads like
+    :func:`hydrodr.ipm.solve`'s.
     """
-    clipped = _clip_targets(case, targets, c_delta)
-    key = (case, loss_cuts, c_delta, tol)
-    with _MODELS.checkout(key, lambda: _SecondStageModel(case, loss_cuts, c_delta, tol)) as m:
-        return m.solve(path, clipped)
+    with _checkout(case, loss_cuts, c_delta, tol) as m:
+        return m.solve(path, targets)
 
 
 def build_extensive(case: GridCase, path: ScenarioPath,
@@ -357,22 +431,24 @@ def build_extensive(case: GridCase, path: ScenarioPath,
 
 
 def extract_duals(problem: MultiPeriodProblem, result: SolveResult) -> DualMap:
-    """Read the target-row equality duals back as a (T, n_hydros) matrix."""
+    """Read the target-row equality duals back as a (T, n_hydros) matrix;
+    raises ValueError on a non-optimal result or a rejected dual."""
     if not result.optimal:
         raise ValueError(f"cannot extract duals from a {result.status!r} result")
-    lam = result.y_eq[problem.target_rows]
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("non-finite dual in target rows")
-    bound = problem.c_delta * (1.0 + 1e-6) + 1e-9
-    if np.max(np.abs(lam)) > bound:
-        raise ValueError(f"target dual {np.max(np.abs(lam)):.6g} exceeds the "
-                         f"deviation penalty {problem.c_delta:.6g}")
-    return DualMap(lam=lam.copy())
+    lam, reasons = _target_duals(result.y_eq[None], problem.target_rows, problem.c_delta)
+    if reasons[0] is not None:
+        raise ValueError(reasons[0])
+    return DualMap(lam=lam[0])
+
+
+def _deviation_l1(x: np.ndarray, var_map: dict) -> np.ndarray:
+    """(B,) total target deviation of a (B, n_vars) stack of solutions."""
+    dev = x[:, var_map["dev_pos"]] + x[:, var_map["dev_neg"]]
+    return np.sum(dev.reshape(len(x), -1), axis=1)
 
 
 def deviation_l1(problem: MultiPeriodProblem, result: SolveResult) -> float:
-    dev = result.x[problem.var_map["dev_pos"]] + result.x[problem.var_map["dev_neg"]]
-    return float(np.sum(dev))
+    return float(_deviation_l1(result.x[None], problem.var_map)[0])
 
 
 @dataclass
@@ -398,61 +474,37 @@ class EvalStats:
         return self.solve_seconds / max(self.decisions, 1)
 
 
-def map_ordered(fn, items, workers: int = 1) -> list:
-    """Apply ``fn`` over ``items`` preserving order; threads when workers > 1.
-
-    Results are reduced in item order regardless of worker count, so any
-    aggregation downstream is reproducible.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def evaluate_policy_cost(case: GridCase, paths, policy, c_delta: float,
                          loss_cuts: int = DEFAULT_LOSS_CUTS,
                          tol: float = 1e-8, workers: int = 1) -> EvalStats:
     """Roll the policy out on every path and price the implementation.
 
     ``rollout_seconds`` times the policy's one batch rollout over all
-    paths; ``solve_seconds`` times
-    :func:`solve_second_stage`, right-hand-side patch included.  Solver
-    failures are logged and the path skipped; the failure count is part of
-    the returned stats.
+    paths; ``solve_seconds`` is the wall time of the one
+    :func:`solve_second_stage_batch` call over all paths (right-hand
+    sides, HiGHS runs and KKT recheck).  Solver failures are logged and
+    the path skipped; the failure count is part of the returned stats.
     """
     paths = list(paths)
-    t0 = time.perf_counter()
-    targets = policy.rollout_with_tape(paths)[0] if paths else None
-    t_roll = time.perf_counter() - t0
-
-    def one(i):
+    costs, max_dev, t_roll, t_solve = np.zeros(0), 0.0, 0.0, 0.0
+    if paths:
         t0 = time.perf_counter()
-        prob, res = solve_second_stage(case, paths[i], targets[i], c_delta, loss_cuts, tol)
-        solve_t = time.perf_counter() - t0
-        if not res.optimal:
-            log.warning("evaluation solve failed (%s) on path %s", res.status,
-                        paths[i].source_id)
-            return None, 0.0, solve_t
-        return res.objective, deviation_l1(prob, res), solve_t
-
-    outcomes = map_ordered(one, range(len(paths)), workers)
-    costs = []
-    max_dev = 0.0
-    n_failed = 0
-    t_solve = 0.0
-    for cost, dev, solve_t in outcomes:
-        t_solve += solve_t
-        if cost is None:
-            n_failed += 1
-            continue
-        costs.append(cost)
-        max_dev = max(max_dev, dev)
-    costs = np.array(costs)
+        targets = policy.rollout_with_tape(paths)[0]
+        t_roll = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        solved = solve_second_stage_batch(case, paths, targets, c_delta, loss_cuts, tol,
+                                          workers)
+        t_solve = time.perf_counter() - t0
+        sol = solved.solution
+        for path, status in zip(paths, sol.status):
+            if status != "optimal":
+                log.warning("evaluation solve failed (%s) on path %s", status, path.source_id)
+        ok = sol.optimal
+        costs = sol.objective[ok]
+        max_dev = float(np.max(_deviation_l1(sol.x[ok], solved.var_map), initial=0.0))
     mean = float(costs.mean()) if costs.size else float("nan")
     std = float(costs.std()) if costs.size else float("nan")
     return EvalStats(mean_cost=mean, std_cost=std, max_dev=max_dev,
-                     n_failed=n_failed, n_paths=len(paths), costs=costs,
+                     n_failed=len(paths) - costs.size, n_paths=len(paths), costs=costs,
                      rollout_seconds=t_roll, solve_seconds=t_solve,
                      decisions=case.horizon * len(paths))

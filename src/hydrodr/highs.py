@@ -2,17 +2,20 @@
 side changes between solves.
 
 A :class:`PersistentLP` passes one :class:`~hydrodr.lp.LinearProgram` to
-HiGHS once and keeps the optimal basis of that template instance.  Each
-solve patches the given equality rows, clears the solver state and
-restarts dual simplex from that one basis, so a result depends on the
-right-hand side alone, never on the solves made before it on the same
-model: the order of paths and the number of workers cannot change it.
+HiGHS once per model and keeps the optimal basis of that template
+instance.  It solves a batch of right-hand sides at once: the patched
+right-hand sides are built as one stack, each path patches its equality
+rows on a model of its own, clears the solver state and restarts dual
+simplex from the template's basis, and the KKT recheck runs once over the
+stack of solutions.  A result therefore depends on its right-hand side
+alone, never on the solves made before it on the same model: the order of
+paths and the number of workers cannot change it.
 
 Results follow the package conventions of :mod:`hydrodr.lp`: HiGHS's row
 duals are ``d(objective)/d(row bound)``, which is ``y_eq`` on equality rows
 and ``y_in >= 0`` on the ``>=`` rows, and its column duals are the net
 bound duals ``z``.  Every ``optimal`` result carries KKT residuals
-recomputed by :func:`hydrodr.lp.check_kkt` on the patched LP, and is
+recomputed by :class:`hydrodr.lp.KktCheck` on its patched LP, and is
 downgraded to ``iteration_limit`` when they exceed ``10 * tol`` (the
 threshold :func:`hydrodr.ipm.solve` applies).
 
@@ -27,11 +30,12 @@ import contextlib
 import copy
 import logging
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lp import LinearProgram, LpDimensionError, SolveResult, check_kkt
+from .lp import KktCheck, LinearProgram, LpDimensionError, SolveResult
 
 log = logging.getLogger(__name__)
 
@@ -41,12 +45,72 @@ log = logging.getLogger(__name__)
 _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 
 
+def _status(h) -> str:
+    return _STATUS.get(h.getModelStatus().name, "iteration_limit")
+
+
+def map_ordered(fn, items, workers: int = 1) -> list:
+    """Apply ``fn`` over ``items`` preserving order; threads when workers > 1.
+
+    Results are reduced in item order regardless of worker count, so any
+    aggregation downstream is reproducible.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items))
+
+
+@dataclass
+class BatchSolution:
+    """Solutions of B instances of one template LP that differ in ``b_eq``.
+
+    Rows of ``x``, ``y_eq``, ``y_in``, ``z`` and entries of ``objective``
+    are NaN, and rows of ``kkt`` are inf, for paths whose solve did not end
+    at a HiGHS optimum.  A path downgraded by the KKT gate keeps its
+    vectors and residuals.
+    """
+    lp: LinearProgram                # the template
+    b_eq: np.ndarray                 # (B, n_eq) equality right-hand sides
+    status: list[str]
+    iterations: np.ndarray           # (B,) simplex iterations
+    x: np.ndarray                    # (B, n_vars)
+    y_eq: np.ndarray                 # (B, n_eq)
+    y_in: np.ndarray                 # (B, n_in)
+    z: np.ndarray                    # (B, n_vars)
+    objective: np.ndarray            # (B,)
+    kkt: np.ndarray                  # (B, 3)
+
+    @property
+    def optimal(self) -> np.ndarray:
+        return np.array([s == "optimal" for s in self.status], dtype=bool)
+
+    def instance(self, i: int) -> LinearProgram:
+        """Path ``i``'s LP: the template with its own ``b_eq`` (every
+        other array shared)."""
+        lp = copy.copy(self.lp)
+        lp.b_eq = self.b_eq[i]
+        return lp
+
+    def result(self, i: int) -> SolveResult:
+        """Path ``i``'s result, read like :func:`hydrodr.ipm.solve`'s."""
+        out = SolveResult(status=self.status[i], iterations=int(self.iterations[i]),
+                          row_tags=self.lp.row_tags)
+        if np.isfinite(self.objective[i]):
+            out.x, out.y_eq, out.y_in, out.z = self.x[i], self.y_eq[i], self.y_in[i], self.z[i]
+            out.objective = float(self.objective[i])
+            out.kkt = tuple(float(v) for v in self.kkt[i])
+        return out
+
+
 class PersistentLP:
-    """One HiGHS model of ``lp``, solved by dual simplex at feasibility
+    """HiGHS models of ``lp``, solved by dual simplex at feasibility
     tolerances ``tol`` and restarted from the template's optimal basis.
 
-    A model is not safe to share between threads; :class:`ModelPool`
-    lends each model to one caller at a time.
+    One HiGHS model is not safe to share between threads; a
+    :class:`PersistentLP` is: each path of a batch checks out a model of
+    its own, built when none is idle.
     """
 
     def __init__(self, lp: LinearProgram, tol: float):
@@ -54,6 +118,7 @@ class PersistentLP:
             raise ValueError("tol must be positive")
         from scipy.optimize._highspy import _core as hc
         self.lp, self.tol = lp, tol
+        self.kkt = KktCheck(lp)
         a = sp.vstack([lp.a_eq, lp.a_in]).tocsc()
         model = hc.HighsLp()
         model.num_col_, model.num_row_ = lp.n_vars, a.shape[0]
@@ -64,57 +129,86 @@ class PersistentLP:
         model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lb, lp.ub
         model.row_lower_ = np.concatenate([lp.b_eq, lp.b_in])
         model.row_upper_ = np.concatenate([lp.b_eq, np.full(lp.n_in, np.inf)])
-        self._h = h = hc._Highs()
+        self._hc, self._model = hc, model
+        self._models = ModelPool()
+        with self._models.checkout(None, self._build):
+            pass                         # the first model: a bad template raises here
+
+    def _build(self):
+        """A HiGHS model of the template, solved once; returns (model,
+        optimal basis or None)."""
+        hc = self._hc
+        h = hc._Highs()
         for key, value in (("output_flag", False), ("solver", "simplex"),
                            ("simplex_strategy", 1), ("presolve", "off"), ("threads", 1),
-                           ("primal_feasibility_tolerance", tol),
-                           ("dual_feasibility_tolerance", tol)):
+                           ("primal_feasibility_tolerance", self.tol),
+                           ("dual_feasibility_tolerance", self.tol)):
             if h.setOptionValue(key, value) != hc.HighsStatus.kOk:
                 raise ValueError(f"HiGHS rejected option {key}={value!r}")
-        if h.passModel(model) == hc.HighsStatus.kError:
+        if h.passModel(self._model) == hc.HighsStatus.kError:
             raise ValueError("HiGHS rejected the template LP")
         h.run()
-        status = self._status()
+        status = _status(h)
         if status != "optimal":
             log.warning("template LP ended %s; solves restart from the logical basis", status)
         basis = h.getBasis()
-        self._basis = basis if status == "optimal" and basis.valid else None
-
-    def _status(self) -> str:
-        return _STATUS.get(self._h.getModelStatus().name, "iteration_limit")
+        return h, (basis if status == "optimal" and basis.valid else None)
 
     def solve(self, rows: np.ndarray, values: np.ndarray) -> tuple[LinearProgram, SolveResult]:
-        """Set ``b_eq[rows] = values`` and solve.  Returns the patched LP
-        (sharing every array but ``b_eq`` with the template) and its
-        result."""
-        h = self._h
-        lp = copy.copy(self.lp)
-        lp.b_eq = self.lp.b_eq.copy()
-        lp.b_eq[rows] = values
-        if not np.all(np.isfinite(lp.b_eq[rows])):
+        """Set ``b_eq[rows] = values`` and solve: :meth:`solve_batch` on a
+        batch of one.  Returns the patched LP (sharing every array but
+        ``b_eq`` with the template) and its result."""
+        batch = self.solve_batch(rows, np.asarray(values, dtype=float)[None])
+        return batch.instance(0), batch.result(0)
+
+    def solve_batch(self, rows: np.ndarray, values: np.ndarray,
+                    workers: int = 1) -> BatchSolution:
+        """Solve the B LPs ``b_eq[rows] = values[i]`` (``values`` is
+        (B, len(rows))).  Only the per-path HiGHS runs go through
+        :func:`map_ordered`; each writes its own rows of the batch arrays.
+        A NaN or infinite value raises before any run."""
+        lp = self.lp
+        b_eq = np.repeat(lp.b_eq[None], len(values), axis=0)
+        b_eq[:, rows] = values
+        if not np.all(np.isfinite(b_eq[:, rows])):
             raise LpDimensionError("b_eq contains NaN/inf entries")
-        for r, v in zip(rows.tolist(), lp.b_eq[rows].tolist()):
-            h.changeRowBounds(r, v, v)
-        h.clearSolver()
-        if self._basis is not None:
-            h.setBasis(self._basis)
-        h.run()
-        status = self._status()
-        iterations = h.getInfo().simplex_iteration_count
-        if status != "optimal":
-            return lp, SolveResult(status=status, iterations=iterations,
-                                   row_tags=dict(lp.row_tags))
-        sol = h.getSolution()
-        x = np.array(sol.col_value)
-        y = np.array(sol.row_dual)
-        result = SolveResult(status="optimal", x=x, y_eq=y[:lp.n_eq], y_in=y[lp.n_eq:],
-                             z=np.array(sol.col_dual), objective=float(lp.c @ x),
-                             iterations=iterations, row_tags=dict(lp.row_tags))
-        result.kkt = check_kkt(lp, result)
-        if max(result.kkt) > self.tol * 10:
-            log.warning("kkt residuals %s exceed tol=%g at a HiGHS optimum", result.kkt, self.tol)
-            result.status = "iteration_limit"
-        return lp, result
+        B, m = len(b_eq), lp.n_eq
+        x, z = np.full((B, lp.n_vars), np.nan), np.full((B, lp.n_vars), np.nan)
+        y = np.full((B, m + lp.n_in), np.nan)
+        objective = np.full(B, np.nan)
+        row_list, bounds = rows.tolist(), b_eq[:, rows].tolist()
+
+        def one(i):
+            with self._models.checkout(None, self._build) as (h, basis):
+                for r, v in zip(row_list, bounds[i]):
+                    h.changeRowBounds(r, v, v)
+                h.clearSolver()
+                if basis is not None:
+                    h.setBasis(basis)
+                h.run()
+                status = _status(h)
+                iterations = h.getInfoValue("simplex_iteration_count")[1]
+                if status == "optimal":
+                    sol = h.getSolution()
+                    x[i], y[i], z[i] = sol.col_value, sol.row_dual, sol.col_dual
+            if status == "optimal":
+                objective[i] = lp.c @ x[i]
+            return status, iterations
+
+        outcomes = map_ordered(one, range(B), workers)
+        status = [s for s, _ in outcomes]
+        kkt = np.full((B, 3), np.inf)
+        ok = np.flatnonzero(np.isfinite(objective))
+        if ok.size:
+            kkt[ok] = self.kkt.residuals(b_eq[ok], x[ok], y[ok, :m], y[ok, m:], z[ok])
+        for i in ok[np.max(kkt[ok], axis=1) > self.tol * 10]:
+            log.warning("kkt residuals %s exceed tol=%g at a HiGHS optimum",
+                        tuple(kkt[i]), self.tol)
+            status[i] = "iteration_limit"
+        return BatchSolution(lp=lp, b_eq=b_eq, status=status,
+                             iterations=np.array([n for _, n in outcomes], dtype=int),
+                             x=x, y_eq=y[:, :m], y_in=y[:, m:], z=z,
+                             objective=objective, kkt=kkt)
 
 
 class ModelPool:

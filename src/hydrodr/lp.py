@@ -119,61 +119,68 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def check_kkt(lp: LinearProgram, result: SolveResult) -> tuple[float, float, float]:
-    """Recompute KKT residuals of ``result`` from scratch.
+class KktCheck:
+    """KKT residuals of solutions of ``lp``, and of any LP that differs
+    from it in ``b_eq`` alone, recomputed from scratch for a stack of
+    solutions at once.
 
-    Independent of solver internals: uses only the LP data and the returned
-    primal/dual vectors.  Returns (primal_res, dual_res, gap) where gap is
-    the normalized primal-dual objective difference.
+    Independent of solver internals: uses only the LP data and the
+    returned primal/dual vectors.  Everything but ``b_eq`` is read from
+    ``lp`` once: the transposed constraint matrices, the finite-bound masks
+    and the scales of ``b_in`` and ``c``.
     """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self._a_eq_t, self._a_in_t = lp.a_eq.T, lp.a_in.T
+        inf_lb, inf_ub = ~np.isfinite(lp.lb), ~np.isfinite(lp.ub)
+        # z > 0 at a missing lower bound, or z < 0 at a missing upper bound,
+        # pushes from a bound that does not exist: a dual violation
+        self._push_lb, self._push_ub = inf_lb * 1.0, inf_ub * -1.0
+        self._lb0 = np.where(inf_lb, 0.0, lp.lb)
+        self._ub0 = np.where(inf_ub, 0.0, lp.ub)
+        self._b_scale = max(1.0, float(np.max(np.abs(lp.b_in), initial=0.0)))
+        self._c_scale = 1.0 + float(np.max(np.abs(lp.c), initial=0.0))
+
+    def residuals(self, b_eq, x, y_eq, y_in, z) -> np.ndarray:
+        """(B, 3) array of (primal_res, dual_res, gap) for the B solutions
+        in the rows of ``x``, ``y_eq``, ``y_in`` and ``z``, with ``b_eq``
+        (B, n_eq) their equality right-hand sides.  The gap is the
+        normalized primal-dual objective difference."""
+        lp = self.lp
+        b_scale = np.maximum(self._b_scale, np.max(np.abs(b_eq), axis=1, initial=0.0))
+        viol = np.max(np.maximum(lp.lb - x, x - lp.ub), axis=1, initial=0.0)
+        if lp.n_eq:
+            viol = np.maximum(viol, np.max(np.abs((lp.a_eq @ x.T).T - b_eq), axis=1))
+        if lp.n_in:
+            viol = np.maximum(viol, np.max(lp.b_in - (lp.a_in @ x.T).T, axis=1))
+        primal_res = viol / (1.0 + b_scale)
+
+        stat = lp.c - (self._a_eq_t @ y_eq.T).T - (self._a_in_t @ y_in.T).T - z
+        push = np.maximum(z * self._push_lb, z * self._push_ub)
+        dual_viol = np.max(np.maximum(np.abs(stat), push), axis=1, initial=0.0)
+        if lp.n_in:
+            dual_viol = np.maximum(dual_viol, np.max(-y_in, axis=1))
+        dual_res = dual_viol / self._c_scale
+
+        pobj = x @ lp.c
+        z_lo = np.maximum(z, 0.0)
+        dobj = (np.sum(b_eq * y_eq, axis=1) + y_in @ lp.b_in
+                + z_lo @ self._lb0 - (z_lo - z) @ self._ub0)
+        gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj))
+        return np.stack((primal_res, dual_res, gap), axis=1)
+
+
+def check_kkt(lp: LinearProgram, result: SolveResult) -> tuple[float, float, float]:
+    """Recompute the KKT residuals (primal_res, dual_res, gap) of one
+    ``result``: :meth:`KktCheck.residuals` on a stack of one."""
     x, y, yin, z = result.x, result.y_eq, result.y_in, result.z
     if x is None or y is None or yin is None or z is None:
         raise ValueError("result carries no primal/dual vectors")
     if x.size != lp.n_vars or y.size != lp.n_eq or yin.size != lp.n_in:
         raise LpDimensionError("result vectors do not match the LP dimensions")
-
-    b_scale = 1.0
-    if lp.b_eq.size:
-        b_scale = max(b_scale, float(np.max(np.abs(lp.b_eq))))
-    if lp.b_in.size:
-        b_scale = max(b_scale, float(np.max(np.abs(lp.b_in))))
-
-    viol = 0.0
-    if lp.n_eq:
-        viol = max(viol, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
-    if lp.n_in:
-        viol = max(viol, float(np.max(np.maximum(lp.b_in - lp.a_in @ x, 0.0))))
-    viol = max(viol, float(np.max(np.maximum(lp.lb - x, 0.0), initial=0.0)))
-    viol = max(viol, float(np.max(np.maximum(x - lp.ub, 0.0), initial=0.0)))
-    primal_res = viol / (1.0 + b_scale)
-
-    c_scale = 1.0 + (float(np.max(np.abs(lp.c))) if lp.c.size else 0.0)
-    stat = lp.c - lp.a_eq.T @ y - lp.a_in.T @ yin - z
-    dual_viol = float(np.max(np.abs(stat), initial=0.0))
-    if lp.n_in:
-        dual_viol = max(dual_viol, float(np.max(np.maximum(-yin, 0.0))))
-    # z must push from an existing finite bound
-    bad_lo = (z > 0) & ~np.isfinite(lp.lb)
-    bad_hi = (z < 0) & ~np.isfinite(lp.ub)
-    if np.any(bad_lo):
-        dual_viol = max(dual_viol, float(np.max(z[bad_lo])))
-    if np.any(bad_hi):
-        dual_viol = max(dual_viol, float(np.max(-z[bad_hi])))
-    dual_res = dual_viol / c_scale
-
-    pobj = float(lp.c @ x)
-    dobj = float(lp.b_eq @ y) + float(lp.b_in @ yin)
-    zl = np.where(np.isfinite(lp.lb), np.maximum(z, 0.0), 0.0)
-    zu = np.where(np.isfinite(lp.ub), np.maximum(-z, 0.0), 0.0)
-    fixed = np.isfinite(lp.lb) & np.isfinite(lp.ub) & (lp.lb == lp.ub)
-    # on fixed columns the net dual is a plain reduced cost, not a split pair
-    zl[fixed] = np.where(z[fixed] > 0, z[fixed], 0.0)
-    zu[fixed] = np.where(z[fixed] < 0, -z[fixed], 0.0)
-    with np.errstate(invalid="ignore"):
-        dobj += float(np.sum(np.where(zl > 0, lp.lb * zl, 0.0)))
-        dobj -= float(np.sum(np.where(zu > 0, lp.ub * zu, 0.0)))
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    return (primal_res, dual_res, gap)
+    return tuple(KktCheck(lp).residuals(lp.b_eq[None], x[None], y[None], yin[None],
+                                        z[None])[0].tolist())
 
 
 def rhs_sensitivity(result: SolveResult, row_tags) -> dict:

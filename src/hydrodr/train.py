@@ -8,9 +8,9 @@ outside the worker threads, so runs are reproducible for a fixed seed
 regardless of worker count.  The update direction descends the sampled
 cost.
 
-Training and validation solve each path's LP with
-:func:`hydrodr.builder.solve_second_stage` (HiGHS dual simplex on a
-persistent model); :func:`gradcheck` audits the gradient with the
+Training and validation solve a batch's LPs with one
+:func:`hydrodr.builder.solve_second_stage_batch` call (HiGHS dual simplex
+on a persistent model); :func:`gradcheck` audits the gradient with the
 interior-point solver of :mod:`hydrodr.ipm`, built and solved from scratch.
 """
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import ipm
 from .builder import (build_second_stage, default_deviation_penalty, extract_duals,
-                      evaluate_policy_cost, map_ordered, solve_second_stage,
-                      DEFAULT_LOSS_CUTS)
+                      evaluate_policy_cost, solve_second_stage_batch, DEFAULT_LOSS_CUTS)
 from .model import GridCase
 from .policy import Policy, init_params, spec_for_case
 from .scenarios import ScenarioSet, split
@@ -130,41 +129,29 @@ class TrainReport:
 def _batch_pass(case, policy, batch, c_delta, loss_cuts, tol, workers=1):
     """Forward+solve+backward over one batch.
 
-    One rollout and one VJP cover the whole batch; only the per-path
-    solves run through :func:`map_ordered`.  A failed or rejected path
-    gets a zero cotangent row, and the summed gradient is divided by the
-    number of successes.  Returns (mean gradient over successes, mean
-    loss, n_failed, n_clipped), where n_clipped counts the target entries
-    the LP clipped into range.
+    One rollout, one :func:`solve_second_stage_batch` call and one VJP
+    cover the whole batch; only the per-path HiGHS runs use ``workers``
+    threads.  A failed or rejected path gets a zero cotangent row, and the
+    summed gradient is divided by the number of successes.  Returns (mean
+    gradient over successes, mean loss, n_failed, n_clipped), where
+    n_clipped counts the target entries the LP clipped into range.
     """
     targets, tape = policy.rollout_with_tape(batch)
-
-    def one(i):
-        path = batch[i]
-        prob, res = solve_second_stage(case, path, targets[i], c_delta, loss_cuts, tol)
-        clipped = int(np.count_nonzero(prob.targets != targets[i]))
-        if not res.optimal:
-            log.warning("training solve failed (%s) on path %s", res.status, path.source_id)
-            return None, None, clipped
-        try:
-            lam = extract_duals(prob, res).lam
-        except ValueError as exc:     # a non-finite dual or one over the penalty
-            log.warning("training duals rejected (%s) on path %s", exc, path.source_id)
-            return None, None, clipped
-        return lam, res.objective, clipped
-
-    outcomes = map_ordered(one, range(len(batch)), workers)
-    lam = np.zeros_like(targets)
-    losses = []
-    for i, (lam_i, loss, _) in enumerate(outcomes):
-        if lam_i is not None:
-            lam[i] = lam_i
-            losses.append(loss)
-    n_failed = len(batch) - len(losses)
-    n_clipped = sum(clipped for *_, clipped in outcomes)
-    if not losses:
+    solved = solve_second_stage_batch(case, batch, targets, c_delta, loss_cuts, tol, workers)
+    sol = solved.solution
+    lam, rejected = solved.duals()
+    ok = sol.optimal
+    for i, path in enumerate(batch):
+        if not ok[i]:
+            log.warning("training solve failed (%s) on path %s", sol.status[i], path.source_id)
+        elif rejected[i] is not None:
+            log.warning("training duals rejected (%s) on path %s", rejected[i], path.source_id)
+            ok[i] = False
+    n_failed = len(batch) - int(ok.sum())
+    n_clipped = int(np.count_nonzero(solved.targets != targets))
+    if not ok.any():
         return None, float("nan"), n_failed, n_clipped
-    return (policy.gradient(tape, lam) / len(losses), float(np.mean(losses)),
+    return (policy.gradient(tape, lam) / int(ok.sum()), float(np.mean(sol.objective[ok])),
             n_failed, n_clipped)
 
 

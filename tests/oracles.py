@@ -3,8 +3,10 @@
 Nothing in here reuses the solution paths it is meant to check: vertex
 enumeration brute-forces small LPs, the grid DP values a 1-hydro problem
 by backward induction on a volume grid, the per-path policy passes replay
-one path at a time with vector operations, and the random instance factory
-builds small feasible hydrothermal cases from scratch.
+one path at a time with vector operations, the per-solution KKT check
+recomputes one solution's residuals with vector operations, and the
+random instance factory builds small feasible hydrothermal cases from
+scratch.
 """
 
 from __future__ import annotations
@@ -287,3 +289,53 @@ def ldr_backward_path(params, inflows: np.ndarray, lam: np.ndarray) -> list[np.n
     """Per-stage gradients lam_t (outer) history_t for one path."""
     return [np.outer(lam[t], _history_stack(params.spec, inflows, t))
             for t in range(params.spec.horizon)]
+
+
+# -- per-solution KKT check (reference for the stacked one) -------------------
+
+def check_kkt_one(lp, result) -> tuple[float, float, float]:
+    """KKT residuals (primal_res, dual_res, gap) of one solution, one
+    reduction at a time on the full LP data."""
+    x, y, yin, z = result.x, result.y_eq, result.y_in, result.z
+    b_scale = 1.0
+    if lp.b_eq.size:
+        b_scale = max(b_scale, float(np.max(np.abs(lp.b_eq))))
+    if lp.b_in.size:
+        b_scale = max(b_scale, float(np.max(np.abs(lp.b_in))))
+
+    viol = 0.0
+    if lp.n_eq:
+        viol = max(viol, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
+    if lp.n_in:
+        viol = max(viol, float(np.max(np.maximum(lp.b_in - lp.a_in @ x, 0.0))))
+    viol = max(viol, float(np.max(np.maximum(lp.lb - x, 0.0), initial=0.0)))
+    viol = max(viol, float(np.max(np.maximum(x - lp.ub, 0.0), initial=0.0)))
+    primal_res = viol / (1.0 + b_scale)
+
+    c_scale = 1.0 + (float(np.max(np.abs(lp.c))) if lp.c.size else 0.0)
+    stat = lp.c - lp.a_eq.T @ y - lp.a_in.T @ yin - z
+    dual_viol = float(np.max(np.abs(stat), initial=0.0))
+    if lp.n_in:
+        dual_viol = max(dual_viol, float(np.max(np.maximum(-yin, 0.0))))
+    # z must push from an existing finite bound
+    bad_lo = (z > 0) & ~np.isfinite(lp.lb)
+    bad_hi = (z < 0) & ~np.isfinite(lp.ub)
+    if np.any(bad_lo):
+        dual_viol = max(dual_viol, float(np.max(z[bad_lo])))
+    if np.any(bad_hi):
+        dual_viol = max(dual_viol, float(np.max(-z[bad_hi])))
+    dual_res = dual_viol / c_scale
+
+    pobj = float(lp.c @ x)
+    dobj = float(lp.b_eq @ y) + float(lp.b_in @ yin)
+    zl = np.where(np.isfinite(lp.lb), np.maximum(z, 0.0), 0.0)
+    zu = np.where(np.isfinite(lp.ub), np.maximum(-z, 0.0), 0.0)
+    fixed = np.isfinite(lp.lb) & np.isfinite(lp.ub) & (lp.lb == lp.ub)
+    # on fixed columns the net dual is a plain reduced cost, not a split pair
+    zl[fixed] = np.where(z[fixed] > 0, z[fixed], 0.0)
+    zu[fixed] = np.where(z[fixed] < 0, -z[fixed], 0.0)
+    with np.errstate(invalid="ignore"):
+        dobj += float(np.sum(np.where(zl > 0, lp.lb * zl, 0.0)))
+        dobj -= float(np.sum(np.where(zu > 0, lp.ub * zu, 0.0)))
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj))
+    return (primal_res, dual_res, gap)

@@ -427,18 +427,18 @@ def test_evaluate_policy_cost_report_shape(tiny_case):
 
 
 def test_evaluate_policy_cost_times_lp_assembly_as_solve(tiny_case, monkeypatch):
-    # the per-path entry point patches the right-hand side and solves: all
-    # of it is solve time
+    # the batch's solve phase patches the right-hand sides, runs HiGHS per
+    # path and rechecks the KKT conditions: all of it is solve time
     import time
-    from hydrodr import builder
+    from hydrodr import highs
     delay = 0.05
-    real_solve = builder.solve_second_stage
+    real_status = highs._status
 
-    def slow_solve(*args, **kwargs):
+    def slow_status(h):
         time.sleep(delay)
-        return real_solve(*args, **kwargs)
+        return real_status(h)
 
-    monkeypatch.setattr(builder, "solve_second_stage", slow_solve)
+    monkeypatch.setattr(highs, "_status", slow_status)
     rng = np.random.default_rng(1)
     paths = [random_path(tiny_case, rng) for _ in range(3)]
     stats = evaluate_policy_cost(tiny_case, paths, _HoldPolicy(tiny_case),

@@ -24,7 +24,7 @@ def test_highs_binding_is_installed():
     # no skip: training and evaluation cannot run without this module
     from scipy.optimize._highspy import _core
     for name in ("passModel", "changeRowBounds", "clearSolver", "setBasis", "getBasis",
-                 "run", "getSolution", "getModelStatus", "getInfo"):
+                 "run", "getSolution", "getModelStatus", "getInfo", "getInfoValue"):
         assert hasattr(_core._Highs, name), name
 
 
@@ -61,7 +61,8 @@ def test_persistent_lp_rejects_bad_tolerance():
 def test_persistent_lp_kkt_gate_downgrades(monkeypatch):
     from hydrodr import highs
     model = PersistentLP(_two_column_lp(1.0), tol=1e-9)
-    monkeypatch.setattr(highs, "check_kkt", lambda lp, res: (1e-7, 0.0, 0.0))
+    monkeypatch.setattr(highs.KktCheck, "residuals",
+                        lambda self, b_eq, *_: np.tile([1e-7, 0.0, 0.0], (len(b_eq), 1)))
     _, res = model.solve(np.array([0]), np.array([1.5]))
     assert res.status == "iteration_limit"
 
@@ -225,3 +226,67 @@ def test_production_solve_agrees_with_interior_point_oracle():
         cases += 1
     assert cases == 14
 
+
+
+def _batch_inputs(n, seed=3):
+    case = _synth6()
+    paths = sample_paths(make_lattice(case, 3), n, seed=seed)
+    targets = np.random.default_rng(seed).uniform(-0.2, 1.7, size=(n, 12, 2)) * case.vmax()
+    return case, default_deviation_penalty(case), paths, targets
+
+
+def _fail_call(monkeypatch, k):
+    """Make the k-th HiGHS status read from now on (0-based) report a
+    failure; returns the list of calls seen."""
+    from hydrodr import highs
+    real, calls = highs._status, []
+
+    def status(h):
+        calls.append(h)
+        return "iteration_limit" if len(calls) == k + 1 else real(h)
+
+    monkeypatch.setattr(highs, "_status", status)
+    return calls
+
+
+def test_batch_failure_leaves_every_other_path_as_its_solo_solve(monkeypatch):
+    case, c_delta, paths, targets = _batch_inputs(8)
+    solo = [solve_second_stage(case, p, t, c_delta)[1] for p, t in zip(paths, targets)]
+    _fail_call(monkeypatch, 5)                 # the model exists: call k is path k
+    batch = builder.solve_second_stage_batch(case, paths, targets, c_delta)
+    sol = batch.solution
+    assert sol.status[5] == "iteration_limit" and np.isnan(sol.objective[5])
+    assert sol.result(5).x is None
+    assert sol.optimal.tolist() == [i != 5 for i in range(8)]
+    for i, ref in enumerate(solo):
+        if i == 5:
+            continue
+        res = sol.result(i)
+        assert np.array_equal(res.x, ref.x) and np.array_equal(res.y_eq, ref.y_eq)
+        assert res.objective == ref.objective
+    lam, rejected = batch.duals()
+    assert np.all(lam[5] == 0.0) and rejected[5] is not None
+    for i in (0, 7):
+        assert rejected[i] is None
+        assert np.array_equal(lam[i], extract_duals(batch.problem(i), sol.result(i)).lam)
+
+
+def test_nan_target_in_a_batch_raises_before_any_run(monkeypatch):
+    case, c_delta, paths, targets = _batch_inputs(6)
+    solve_second_stage(case, paths[0], targets[0], c_delta)     # build the model
+    calls = _fail_call(monkeypatch, -1)                        # records, never fails
+    targets[4, 7, 1] = np.nan
+    with pytest.raises(LpDimensionError, match="b_eq"):
+        builder.solve_second_stage_batch(case, paths, targets, c_delta)
+    assert calls == []
+
+
+def test_low_penalty_warns_once_per_model(caplog):
+    case, _, paths, targets = _batch_inputs(32)
+    low = 0.5 * case.max_marginal_cost()
+    with caplog.at_level("WARNING", logger="hydrodr.builder"):
+        for _ in range(2):
+            batch = builder.solve_second_stage_batch(case, paths, targets, low)
+            assert batch.solution.optimal.all()
+    assert sum("below the maximum marginal cost" in r.getMessage()
+               for r in caplog.records) == 1

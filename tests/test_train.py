@@ -180,18 +180,15 @@ def test_training_descends_on_convex_toy():
 def test_abort_when_too_many_solves_fail(monkeypatch):
     case = build_tiny_case(horizon=3)
     lat = make_lattice(case, 2)
-    from hydrodr.lp import SolveResult
-    from hydrodr.train import solve_second_stage as real_solve
+    from hydrodr import highs
+    real_status = highs._status
     calls = {"n": 0}
 
-    def flaky(*args, **kw):
+    def flaky(h):
         calls["n"] += 1
-        prob, res = real_solve(*args, **kw)
-        if calls["n"] % 2 == 0:
-            return prob, SolveResult(status="iteration_limit")
-        return prob, res
+        return "iteration_limit" if calls["n"] % 2 == 0 else real_status(h)
 
-    monkeypatch.setattr("hydrodr.train.solve_second_stage", flaky)
+    monkeypatch.setattr(highs, "_status", flaky)
     with pytest.raises(TrainingError, match="failed"):
         train(case, lat, "ts-ddr", small_config(epochs=2, batch_size=4, n_val=0))
 
@@ -199,18 +196,15 @@ def test_abort_when_too_many_solves_fail(monkeypatch):
 def test_failed_solves_renormalize_batch(monkeypatch):
     case = build_tiny_case(horizon=3)
     lat = make_lattice(case, 2)
-    from hydrodr.lp import SolveResult
-    from hydrodr.train import solve_second_stage as real_solve
+    from hydrodr import highs
+    real_status = highs._status
     calls = {"n": 0}
 
-    def one_failure(*args, **kw):
+    def one_failure(h):
         calls["n"] += 1
-        prob, res = real_solve(*args, **kw)
-        if calls["n"] == 2:
-            return prob, SolveResult(status="iteration_limit")
-        return prob, res
+        return "iteration_limit" if calls["n"] == 2 else real_status(h)
 
-    monkeypatch.setattr("hydrodr.train.solve_second_stage", one_failure)
+    monkeypatch.setattr(highs, "_status", one_failure)
     cfg = small_config(epochs=1, batch_size=8, n_val=0, max_failed_frac=0.2)
     params, report = train(case, lat, "ts-ddr", cfg)
     assert report.solver_failures == 1
@@ -218,7 +212,7 @@ def test_failed_solves_renormalize_batch(monkeypatch):
 
 
 def test_rejected_duals_count_as_failed_solve(monkeypatch):
-    from hydrodr import train as train_mod
+    from hydrodr import builder, train as train_mod
     from hydrodr.policy import Policy
     case = build_tiny_case(horizon=3)
     paths = sample_paths(make_lattice(case, 2), 4, seed=0)
@@ -228,18 +222,17 @@ def test_rejected_duals_count_as_failed_solve(monkeypatch):
     grads = []
     for path in paths:
         targets, tape = policy.rollout_with_tape([path])
-        prob, res = train_mod.solve_second_stage(case, path, targets[0], c_delta)
+        prob, res = builder.solve_second_stage(case, path, targets[0], c_delta)
         grads.append(policy.gradient(tape, extract_duals(prob, res).lam[None]))
 
-    calls = {"n": 0}
+    real_duals = builder._target_duals
 
-    def reject_second(prob, res):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise ValueError("non-finite dual in target rows")
-        return extract_duals(prob, res)
+    def reject_second(y_eq, target_rows, c_delta):
+        lam, reasons = real_duals(y_eq, target_rows, c_delta)
+        reasons[1] = "non-finite dual in target rows"
+        return lam, reasons
 
-    monkeypatch.setattr(train_mod, "extract_duals", reject_second)
+    monkeypatch.setattr(builder, "_target_duals", reject_second)
     grad, loss, n_failed, _ = train_mod._batch_pass(case, policy, paths, c_delta,
                                                     loss_cuts=11, tol=1e-8)
     assert n_failed == 1
@@ -273,6 +266,43 @@ def test_batch_pass_counts_clipped_targets():
     assert n_failed == 0 and np.isfinite(loss)
     assert n_clipped == 2 * len(paths)
 
+
+class _StackTargets:
+    """Rolls path i out to targets[i]; the gradient is the sum of the
+    cotangent rows."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def rollout_with_tape(self, paths):
+        return self.targets[:len(paths)], None
+
+    def gradient(self, tape, lam):
+        return lam.sum(axis=0).ravel()
+
+
+def test_batch_pass_divides_by_successes_when_a_path_fails(monkeypatch):
+    from hydrodr import builder, highs
+    case = build_tiny_case(horizon=3)
+    paths = sample_paths(make_lattice(case, 2), 6, seed=1)
+    c_delta = default_deviation_penalty(case)
+    targets = np.random.default_rng(0).uniform(0.1, 1.2, size=(6, 3, 1)) * case.vmax()
+    solo = [builder.solve_second_stage(case, p, t, c_delta) for p, t in zip(paths, targets)]
+    real_status, calls = highs._status, {"n": 0}
+
+    def fail_third(h):
+        calls["n"] += 1
+        return "iteration_limit" if calls["n"] == 3 else real_status(h)
+
+    monkeypatch.setattr(highs, "_status", fail_third)
+    grad, loss, n_failed, _ = _batch_pass(case, _StackTargets(targets), paths, c_delta,
+                                          loss_cuts=11, tol=1e-8)
+    keep = [0, 1, 3, 4, 5]
+    assert n_failed == 1
+    assert loss == float(np.mean([solo[i][1].objective for i in keep]))
+    lam = np.stack([extract_duals(*solo[i]).lam if i in keep else np.zeros((3, 1))
+                    for i in range(6)])
+    assert np.array_equal(grad, lam.sum(axis=0).ravel() / len(keep))
 
 def test_report_counts_skipped_adam_steps_and_clipped_targets(monkeypatch):
     from hydrodr import train as train_mod
